@@ -168,30 +168,18 @@ def _record_simulate(N, p, f, paths, seed, Q=None, workers=1):
         walk=growth.WalkSpec(N, p), fraction=f, paths=paths, seed=seed,
         threshold=Q,
     )
-    record = {"N": int(N), "p": p, "f": f, "Q": Q, "paths": int(paths),
-              "seed": int(seed)}
+    result = montecarlo.run(config, workers)
+    exact = z = None
     if Q is not None and 0.0 < f < 1.0:
-        empirical, exact, z = montecarlo.threshold_validation(config, workers)
-        result = montecarlo.run(config, workers)
-        record.update(
-            mean_log_growth_per_step=result.mean_log_growth_per_step,
-            std_error=result.std_error,
-            analytic_growth_rate=kelly.even_odds_growth_rate(p, f),
-            threshold_hit_fraction=empirical,
-            exact_prob_below=exact,
-            z_score=z,
-        )
-    else:
-        result = montecarlo.run(config, workers)
-        record.update(
-            mean_log_growth_per_step=result.mean_log_growth_per_step,
-            std_error=result.std_error,
-            analytic_growth_rate=kelly.even_odds_growth_rate(p, f),
-            threshold_hit_fraction=result.threshold_hit_fraction,
-            exact_prob_below=None,
-            z_score=None,
-        )
-    return record
+        _, exact, z = montecarlo.threshold_z(config, result)
+    return {"N": int(N), "p": p, "f": f, "Q": Q, "paths": int(paths),
+            "seed": int(seed),
+            "mean_log_growth_per_step": result.mean_log_growth_per_step,
+            "std_error": result.std_error,
+            "analytic_growth_rate": kelly.even_odds_growth_rate(p, f),
+            "threshold_hit_fraction": result.threshold_hit_fraction,
+            "exact_prob_below": exact,
+            "z_score": z}
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,28 @@
 """Seeded Monte Carlo engine for the double-or-nothing game.
 
-Every path owns its own random stream, derived from the configured seed
-and the path index through ``numpy.random.SeedSequence`` spawn keys and a
-Philox (counter-based) bit generator.  Results are therefore bit-identical
-for a given config no matter how the paths are chunked across workers.
-Wealth is tracked in log space only.
+Path ``i`` draws its coin flips from the Philox4x64-10 stream that numpy
+builds as ``Generator(Philox(SeedSequence(seed, spawn_key=(i,))))``; only
+the up-step count of each path is kept, and wealth is tracked in log space.
+The engine never builds those objects per path.  It works in two stages:
+
+* **Keys.** The ``SeedSequence`` hash (O'Neill's seed_seq mixing over
+  uint32 words) is a fixed schedule, so one numpy pass derives the Philox
+  keys of a whole block of path indices.  The seed's words, zero-padded
+  to four, are mixed once; only the last stage depends on the index.
+* **Flips.** Walks of at most :data:`BULK_MAX_STEPS` steps run Philox
+  itself in numpy over a chunk of paths by ``ceil(N/4)`` counter blocks,
+  with the 64-bit multiply-high split into 32-bit halves.  Longer walks
+  re-key one native numpy Philox per path through its state setter and
+  let numpy's C loop draw the flips.  The crossover is a property of N
+  alone, fixed where the two kernels took equal time per path.
+
+Both kernels reproduce numpy's streams bit for bit, so a result depends
+only on the config.  ``workers`` splits the path range into consecutive
+chunks run one after another; it starts no threads, and since a path's
+flips depend only on its absolute index the split never shows.
 """
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -24,7 +38,10 @@ __all__ = [
     "run",
     "compare_strategies",
     "threshold_validation",
+    "threshold_z",
 ]
+
+MAX_PATHS = 2 ** 32 - 1
 
 
 @dataclass(frozen=True)
@@ -43,6 +60,11 @@ class SimConfig:
             )
         if int(self.paths) != self.paths or self.paths < 1:
             raise ValueError(f"paths must be a positive integer, got {self.paths!r}")
+        if self.paths > MAX_PATHS:
+            raise ValueError(
+                f"paths must be below 2**32 (a path index is one 32-bit "
+                f"spawn-key word), got {self.paths!r}"
+            )
         if int(self.seed) != self.seed or not 0 <= self.seed < 2 ** 64:
             raise ValueError(f"seed must be an unsigned 64-bit integer, got {self.seed!r}")
         object.__setattr__(self, "paths", int(self.paths))
@@ -76,31 +98,151 @@ class StrategyComparison:
     se_diff_vs_first: float
 
 
-def _path_up_steps(walk, paths, seed, path_offset=0):
-    """Up-step count per path; each path draws its flips from its own
-    Philox stream keyed by (seed, absolute path index)."""
-    n, p = walk.steps, walk.bias
-    counts = np.empty(paths, dtype=np.int64)
-    for i in range(paths):
-        ss = np.random.SeedSequence(seed, spawn_key=(path_offset + i,))
-        rng = np.random.Generator(np.random.Philox(ss))
-        counts[i] = int((rng.random(n) < p).sum())
+# Stage 1, keys: the seed_seq hash behind numpy's SeedSequence (M. O'Neill,
+# uint32 words, multipliers stepped at every call), evaluated for a whole
+# block of path indices in numpy.
+_M32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_POOL_SIZE = 4
+
+# Stage 2, flips: Philox4x64-10 (Salmon et al., SC'11) round multipliers
+# and key increments, as in numpy's Philox bit generator.
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_PHILOX_ROUNDS = 10
+
+# Walks of at most this many steps run Philox in numpy over chunks of
+# paths; longer walks re-key one native generator per path.  Fixed where
+# the two kernels cost the same per path (measured on a 2-core x86 host).
+BULK_MAX_STEPS = 72
+# Chunk size limit in (path x counter block) elements for the bulk kernel,
+# and in paths for the native one: keeps memory flat at any path count.
+_CHUNK_ELEMENTS = 2 ** 13
+
+
+def _hash_constants(init, mult, calls):
+    consts = [init]
+    for _ in range(calls):
+        consts.append((consts[-1] * mult) & _M32)
+    return consts
+
+
+def _hashmix(value, consts, call):
+    """Hash step number ``call``; ``value`` is an int or a uint32 array."""
+    value = ((value ^ consts[call]) * consts[call + 1]) & _M32
+    return value ^ (value >> 16)
+
+
+def _mix(x, y):
+    value = (((_MIX_MULT_L * x) & _M32) - ((_MIX_MULT_R * y) & _M32)) & _M32
+    return value ^ (value >> 16)
+
+
+def _philox_keys(seed, start, stop):
+    """Keys of the streams ``SeedSequence(seed, spawn_key=(i,))`` for path
+    indices ``start <= i < stop < 2**32``: the two uint64 arrays that
+    ``generate_state(2, np.uint64)`` gives, bit for bit.
+
+    The entropy is the seed's uint32 words zero-padded to the pool size,
+    then the path index as one more word, so only the last mixing stage
+    depends on the path.
+    """
+    # one hash per seed word, per ordered pair of pool words, and per pool
+    # word for the index
+    consts = _hash_constants(_INIT_A, _MULT_A, _POOL_SIZE * (_POOL_SIZE + 1))
+    pool = [_hashmix((seed >> 32 * j) & _M32, consts, j) for j in range(_POOL_SIZE)]
+    call = _POOL_SIZE
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hashmix(pool[src], consts, call))
+                call += 1
+    index = np.arange(start, stop, dtype=np.uint64).astype(np.uint32)
+    pool = [_mix(pool[j], _hashmix(index, consts, call + j)) for j in range(_POOL_SIZE)]
+    out_consts = _hash_constants(_INIT_B, _MULT_B, _POOL_SIZE)
+    words = [_hashmix(w, out_consts, j).astype(np.uint64) for j, w in enumerate(pool)]
+    return words[0] | words[1] << 32, words[2] | words[3] << 32
+
+
+def _mulhilo(m, x):
+    """High and low 64-bit words of ``m * x`` for a constant m and a uint64
+    array x, from 32-bit partial products that cannot overflow."""
+    m_lo, m_hi = m & _M32, m >> 32
+    x_lo, x_hi = x & _M32, x >> 32
+    t = x_hi * m_lo + ((x_lo * m_lo) >> 32)
+    u = x_lo * m_hi + (t & _M32)
+    return x_hi * m_hi + (t >> 32) + (u >> 32), x * m
+
+
+def _below(p):
+    """numpy's uniform double is ``(word >> 11) * 2**-53``, so "double < p"
+    is "word < _below(p)"; p < 1 keeps the limit below 2**64."""
+    return math.ceil(p * 2.0 ** 53) << 11
+
+
+def _bulk_up_steps(keys, n, p):
+    """Up-step counts from Philox4x64-10 run in numpy: one row per key,
+    counter blocks 1..ceil(n/4), four output words per block in order."""
+    k0, k1 = (k[:, None] for k in keys)
+    x0 = np.arange(1, -(-n // 4) + 1, dtype=np.uint64)[None, :]
+    x1 = x2 = x3 = np.zeros((1, 1), dtype=np.uint64)  # broadcast until mixed
+    for r in range(_PHILOX_ROUNDS):
+        if r:
+            k0, k1 = k0 + _PHILOX_W[0], k1 + _PHILOX_W[1]
+        hi0, lo0 = _mulhilo(_PHILOX_M[0], x0)
+        hi1, lo1 = _mulhilo(_PHILOX_M[1], x2)
+        x0, x1, x2, x3 = hi1 ^ x1 ^ k0, lo1, hi0 ^ x3 ^ k1, lo0
+    limit = _below(p)
+    counts = np.zeros(len(keys[0]), dtype=np.int64)
+    for word, x in enumerate((x0, x1, x2, x3)):
+        steps = max(0, -(-(n - word) // 4))  # blocks whose `word` is a step
+        counts += (x[:, :steps] < limit).sum(axis=1)
     return counts
 
 
+def _native_up_steps(keys, n, p):
+    """Up-step counts from numpy's own Philox, set to each key's fresh
+    stream (zero counter, empty buffer) through its state setter."""
+    bitgen = np.random.Philox(0)
+    state = {"bit_generator": "Philox",
+             "state": {"counter": [0, 0, 0, 0], "key": None},
+             "buffer": [0, 0, 0, 0], "buffer_pos": 4,
+             "has_uint32": 0, "uinteger": 0}
+    limit = _below(p)
+    counts = np.empty(len(keys[0]), dtype=np.int64)
+    for i, key in enumerate(zip(keys[0].tolist(), keys[1].tolist())):
+        state["state"]["key"] = key
+        bitgen.state = state
+        counts[i] = np.count_nonzero(bitgen.random_raw(n) < limit)
+    return counts
+
+
+def _path_up_steps(walk, paths, seed, path_offset=0):
+    """Up-step count per path; path i draws its flips from the Philox
+    stream keyed by ``SeedSequence(seed, spawn_key=(path_offset + i,))``."""
+    n, p = walk.steps, walk.bias
+    if n <= BULK_MAX_STEPS:
+        kernel, chunk = _bulk_up_steps, max(1, _CHUNK_ELEMENTS // -(-n // 4))
+    else:
+        kernel, chunk = _native_up_steps, _CHUNK_ELEMENTS
+    stop = path_offset + paths
+    return np.concatenate([
+        kernel(_philox_keys(seed, s, min(s + chunk, stop)), n, p)
+        for s in range(path_offset, stop, chunk)
+    ])
+
+
 def _up_steps(config, workers=1):
-    if workers <= 1:
-        return _path_up_steps(config.walk, config.paths, config.seed)
-    chunk = -(-config.paths // workers)
-    starts = range(0, config.paths, chunk)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        parts = pool.map(
-            lambda s: _path_up_steps(
-                config.walk, min(chunk, config.paths - s), config.seed, s
-            ),
-            starts,
-        )
-        return np.concatenate(list(parts))
+    """Up-step counts of all paths.  ``workers`` splits the path range into
+    that many consecutive chunks, run one after another; a path's count
+    depends only on its absolute index, so the split never shows."""
+    chunk = -(-config.paths // max(1, workers))
+    return np.concatenate([
+        _path_up_steps(config.walk, min(chunk, config.paths - s), config.seed, s)
+        for s in range(0, config.paths, chunk)
+    ])
 
 
 def _per_step_growth(walk, fraction, up_steps):
@@ -179,6 +321,13 @@ def compare_strategies(configs, workers=1):
     return rows
 
 
+def _require_threshold(config):
+    if config.threshold is None:
+        raise ValueError("config must carry a threshold")
+    if not 0.0 < config.fraction < 1.0:
+        raise ValueError("threshold validation needs f in (0, 1)")
+
+
 def threshold_validation(config, workers=1):
     """Compare the simulated threshold-hit frequency with the exact CDF.
 
@@ -186,11 +335,14 @@ def threshold_validation(config, workers=1):
     standard error of the empirical frequency and should stay within a few
     units for a correct engine at 10^4+ paths.
     """
-    if config.threshold is None:
-        raise ValueError("config must carry a threshold")
-    if not 0.0 < config.fraction < 1.0:
-        raise ValueError("threshold validation needs f in (0, 1)")
-    result = run(config, workers)
+    _require_threshold(config)
+    return threshold_z(config, run(config, workers))
+
+
+def threshold_z(config, result):
+    """:func:`threshold_validation` for a ``result`` that :func:`run`
+    already returned for ``config``: ``(empirical, exact, z_score)``."""
+    _require_threshold(config)
     empirical = result.threshold_hit_fraction
     exact = prob_growth_below(config.fraction, config.walk, config.threshold)
     se = math.sqrt(exact * (1.0 - exact) / config.paths)

@@ -2,7 +2,8 @@
 
 Nothing here imports the closed forms it is used to check: utilities are
 maximized by brute-force grid search, tail probabilities are summed in
-exact rational arithmetic, and derivatives come from finite differences.
+exact rational arithmetic, derivatives come from finite differences, and
+Monte Carlo streams are drawn through numpy's own SeedSequence and Philox.
 """
 
 from fractions import Fraction
@@ -80,3 +81,20 @@ def exact_binomial_cdf(n, p, k):
 def central_difference(func, x, h):
     """Symmetric first derivative estimate."""
     return (func(x + h) - func(x - h)) / (2.0 * h)
+
+
+def philox_key(seed, path_index):
+    """The Philox key numpy derives for path ``path_index``'s stream."""
+    ss = np.random.SeedSequence(seed, spawn_key=(path_index,))
+    return tuple(int(k) for k in ss.generate_state(2, np.uint64))
+
+
+def per_path_up_steps(walk, paths, seed, path_offset=0):
+    """Up-step count per path, one SeedSequence + Philox + Generator per
+    path: the streams the vectorised engine must reproduce bit for bit."""
+    counts = np.empty(paths, dtype=np.int64)
+    for i in range(paths):
+        ss = np.random.SeedSequence(seed, spawn_key=(path_offset + i,))
+        rng = np.random.Generator(np.random.Philox(ss))
+        counts[i] = int((rng.random(walk.steps) < walk.bias).sum())
+    return counts

@@ -179,6 +179,30 @@ class TestSimulate:
         _, threaded = invoke(capsys, *args, "--workers", "4")
         assert threaded == base
 
+    def test_simulates_once(self, capsys, monkeypatch):
+        from kellymarket import montecarlo
+
+        calls = []
+        real_run = montecarlo.run
+
+        def counted_run(*args, **kwargs):
+            calls.append(args)
+            return real_run(*args, **kwargs)
+
+        monkeypatch.setattr(montecarlo, "run", counted_run)
+        code, out = invoke(
+            capsys, "simulate", "--N", "10", "--p", "0.6", "--f", "0.2",
+            "--Q", "0", "--paths", "2000", "--seed", "42",
+        )
+        assert (code, out) == (0, GOLDEN_SIMULATE)
+        assert len(calls) == 1
+
+    def test_paths_beyond_one_spawn_key_word_exit_2(self, capsys):
+        code = main(["simulate", "--N", "10", "--p", "0.6", "--f", "0.2",
+                     "--paths", str(2 ** 32), "--seed", "1"])
+        assert code == 2
+        assert "paths" in capsys.readouterr().err
+
     def test_seed_is_required(self, capsys):
         with pytest.raises(SystemExit) as err:
             main(["simulate", "--N", "10", "--p", "0.6", "--f", "0.2",

@@ -3,14 +3,19 @@ import math
 import numpy as np
 import pytest
 
+from kellymarket import montecarlo
 from kellymarket.growth import WalkSpec, binomial_pmf, prob_growth_below
 from kellymarket.kelly import even_odds_growth_rate
 from kellymarket.montecarlo import (
+    BULK_MAX_STEPS,
     SimConfig,
     compare_strategies,
     run,
     threshold_validation,
+    threshold_z,
 )
+
+from oracles import per_path_up_steps, philox_key
 
 
 class TestSimConfig:
@@ -27,6 +32,11 @@ class TestSimConfig:
             SimConfig(WalkSpec(10, 0.5), 0.1, 0, 1)
         with pytest.raises(ValueError):
             SimConfig(WalkSpec(10, 0.5), 0.1, 10, -1)
+
+    def test_rejects_paths_beyond_one_spawn_key_word(self):
+        SimConfig(WalkSpec(10, 0.5), 0.1, 2 ** 32 - 1, 1)
+        with pytest.raises(ValueError, match="paths"):
+            SimConfig(WalkSpec(10, 0.5), 0.1, 2 ** 32, 1)
 
 
 class TestRun:
@@ -72,6 +82,67 @@ class TestRun:
         stat = ((observed - expected) ** 2 / expected).sum()
         cutoff = scipy_stats.chi2.ppf(0.999, df=len(expected) - 1)
         assert stat < cutoff
+
+
+class TestEngineAgainstPerPathStreams:
+    """The vectorised engine against one numpy Philox stream per path."""
+
+    @pytest.mark.parametrize("seed", [0, 42, 2 ** 40 + 3, 2 ** 64 - 1])
+    @pytest.mark.parametrize("offset", [0, 1, 2 ** 32 - 1])
+    def test_keys_match_seed_sequence(self, seed, offset):
+        stop = min(offset + 3, 2 ** 32)
+        k0, k1 = montecarlo._philox_keys(seed, offset, stop)
+        for j, i in enumerate(range(offset, stop)):
+            assert (int(k0[j]), int(k1[j])) == philox_key(seed, i)
+
+    @pytest.mark.parametrize("steps", [
+        1, 53, BULK_MAX_STEPS - 1, BULK_MAX_STEPS, BULK_MAX_STEPS + 1, 5000,
+    ])
+    def test_counts_match_per_path_streams(self, steps):
+        walk = WalkSpec(steps, 0.6)
+        got = montecarlo._path_up_steps(walk, 23, 7, path_offset=5)
+        assert np.array_equal(got, per_path_up_steps(walk, 23, 7, path_offset=5))
+
+    @pytest.mark.parametrize("bias", [1.0 - 1e-12, 1e-9])
+    @pytest.mark.parametrize("steps", [40, BULK_MAX_STEPS + 40])
+    def test_extreme_bias(self, bias, steps):
+        walk = WalkSpec(steps, bias)
+        got = montecarlo._path_up_steps(walk, 50, 3)
+        assert np.array_equal(got, per_path_up_steps(walk, 50, 3))
+
+    @pytest.mark.parametrize("bias", [0.6, 0.5, 1e-9, 1.0 - 1e-12])
+    def test_flip_limit_agrees_with_the_double_at_the_boundary(self, bias):
+        # a word is up when numpy's double (word >> 11) * 2**-53 is below p
+        edge = math.floor(bias * 2.0 ** 53)
+        for top in (edge - 1, edge, edge + 1):
+            word = top << 11 | 0x7FF
+            assert (word < montecarlo._below(bias)) == (top * 2.0 ** -53 < bias)
+
+    def test_counts_near_the_last_path_index(self):
+        walk = WalkSpec(9, 0.45)
+        offset = 2 ** 32 - 4
+        got = montecarlo._path_up_steps(walk, 4, 2 ** 64 - 1, path_offset=offset)
+        assert np.array_equal(
+            got, per_path_up_steps(walk, 4, 2 ** 64 - 1, path_offset=offset))
+
+    # each case leaves a partial last chunk: chunks of 21, 3 and 64 paths
+    # under a 64-element limit, and of 585 paths under the default one
+    @pytest.mark.parametrize("steps, limit, paths", [
+        (10, 64, 97), (BULK_MAX_STEPS, 64, 97), (BULK_MAX_STEPS + 1, 64, 97),
+        (53, montecarlo._CHUNK_ELEMENTS, 1177),
+    ])
+    def test_paths_not_a_multiple_of_the_chunk(self, steps, limit, paths,
+                                               monkeypatch):
+        monkeypatch.setattr(montecarlo, "_CHUNK_ELEMENTS", limit)
+        walk = WalkSpec(steps, 0.55)
+        got = montecarlo._path_up_steps(walk, paths, 11)
+        assert np.array_equal(got, per_path_up_steps(walk, paths, 11))
+
+    @pytest.mark.parametrize("workers", [2, 3, 7])
+    def test_workers_split_matches_per_path_streams(self, workers):
+        config = SimConfig(WalkSpec(15, 0.55), 0.15, 101, 77)
+        got = montecarlo._up_steps(config, workers)
+        assert np.array_equal(got, per_path_up_steps(config.walk, 101, 77))
 
 
 class TestReproducibility:
@@ -153,6 +224,10 @@ class TestThresholdValidation:
         assert exact == pytest.approx(0.3669, abs=1e-4)
         assert abs(empirical - exact) < 0.006
         assert abs(z) < 4.0
+
+    def test_threshold_z_reuses_a_run(self):
+        config = SimConfig(WalkSpec(12, 0.6), 0.2, 3000, 5, threshold=0.0)
+        assert threshold_z(config, run(config)) == threshold_validation(config)
 
     def test_requires_threshold(self):
         with pytest.raises(ValueError):
