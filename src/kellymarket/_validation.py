@@ -7,6 +7,13 @@ error messages stay informative.
 import math
 
 
+def check_finite(value, name="value"):
+    x = float(value)
+    if not math.isfinite(x):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    return x
+
+
 def check_probability(value, name="probability", open_interval=False):
     """Validate a probability, returning it as a float.
 

@@ -188,26 +188,52 @@ def _record_simulate(N, p, f, paths, seed, Q=None, workers=1):
 
 def load_population(path):
     """Read investors from a CSV (header ``capital,belief``) or a JSON
-    array of ``{"capital": r, "belief": r}`` objects."""
+    array of ``{"capital": r, "belief": r}`` objects.
+
+    Every problem with the contents is a ``ValueError`` that names the
+    file and, for a bad record, its row (the first record is row 1).
+    """
     with open(path, encoding="utf-8") as fh:
         text = fh.read()
     stripped = text.lstrip()
     if stripped.startswith("["):
-        rows = json.loads(text)
-        investors = [clearing.Investor(r["capital"], r["belief"]) for r in rows]
+        try:
+            rows = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: invalid JSON: {exc}") from None
     else:
-        reader = csv.DictReader(io.StringIO(text))
-        if reader.fieldnames is None or \
-                {"capital", "belief"} - set(reader.fieldnames):
+        rows = csv.DictReader(io.StringIO(text))
+        if rows.fieldnames is None or \
+                {"capital", "belief"} - set(rows.fieldnames):
             raise ValueError(
                 f"{path}: expected CSV header 'capital,belief', "
-                f"got {reader.fieldnames}"
+                f"got {rows.fieldnames}"
             )
-        investors = [
-            clearing.Investor(float(r["capital"]), float(r["belief"]))
-            for r in reader
-        ]
-    return clearing.MarketPopulation(tuple(investors))
+    investors = [_investor(path, row, record)
+                 for row, record in enumerate(rows, start=1)]
+    try:
+        return clearing.MarketPopulation(tuple(investors))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
+def _investor(path, row, record):
+    values = []
+    for key in ("capital", "belief"):
+        try:
+            value = record[key]
+        except (KeyError, TypeError):
+            raise ValueError(f"{path}: row {row}: no {key!r} field") from None
+        try:
+            values.append(float(value))
+        except (TypeError, ValueError):
+            raise ValueError(
+                f"{path}: row {row}: {key} is not a number: {value!r}"
+            ) from None
+    try:
+        return clearing.Investor(*values)
+    except ValueError as exc:
+        raise ValueError(f"{path}: row {row}: {exc}") from None
 
 
 def _record_clear(population_file, tol):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._validation import check_probability
+from ._validation import check_finite, check_probability
 from .kelly import even_odds_growth_rate
 
 __all__ = [
@@ -166,14 +166,21 @@ def threshold_steps(f, spec, log_wealth_target):
     target: ``(Q - N log(1-f)) / (log(1+f) - log(1-f))``.
 
     May fall outside [0, N], which means the target is never / always
-    reached; callers clamp as needed.
+    reached; callers clamp as needed.  A non-finite target Q, or one so
+    large that the step count overflows, is rejected.
     """
     f = float(f)
     if not 0.0 < f < 1.0:
         raise ValueError(f"f must lie in (0, 1), got {f!r}")
     n = spec.steps
-    q_target = float(log_wealth_target)
-    return (q_target - n * math.log1p(-f)) / (math.log1p(f) - math.log1p(-f))
+    q_target = check_finite(log_wealth_target, "Q (log-wealth target)")
+    steps = (q_target - n * math.log1p(-f)) / (math.log1p(f) - math.log1p(-f))
+    if not math.isfinite(steps):
+        raise ValueError(
+            f"Q (log-wealth target) = {q_target!r} puts the threshold "
+            f"step count out of floating-point range at f = {f!r}"
+        )
+    return steps
 
 
 def prob_growth_below(f, spec, log_wealth_target):

@@ -28,6 +28,7 @@ from typing import Optional
 
 import numpy as np
 
+from ._validation import check_finite
 from .growth import WalkSpec, prob_growth_below
 from .kelly import even_odds_growth_rate
 
@@ -70,6 +71,9 @@ class SimConfig:
         object.__setattr__(self, "paths", int(self.paths))
         object.__setattr__(self, "seed", int(self.seed))
         object.__setattr__(self, "fraction", float(self.fraction))
+        if self.threshold is not None:
+            object.__setattr__(self, "threshold", check_finite(
+                self.threshold, "threshold Q (log-wealth target)"))
 
 
 @dataclass(frozen=True)

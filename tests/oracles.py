@@ -2,12 +2,13 @@
 
 Nothing here imports the closed forms it is used to check: utilities are
 maximized by brute-force grid search, tail probabilities are summed in
-exact rational arithmetic, derivatives come from finite differences, and
-Monte Carlo streams are drawn through numpy's own SeedSequence and Philox.
+exact rational arithmetic, derivatives come from finite differences,
+Monte Carlo streams are drawn through numpy's own SeedSequence and Philox,
+and clearing prices are found by bisection.
 """
 
 from fractions import Fraction
-from math import comb
+from math import comb, fsum
 
 import numpy as np
 
@@ -98,3 +99,50 @@ def per_path_up_steps(walk, paths, seed, path_offset=0):
         rng = np.random.Generator(np.random.Philox(ss))
         counts[i] = int((rng.random(walk.steps) < walk.bias).sum())
     return counts
+
+
+def kelly_exposure(capitals, beliefs, p):
+    """Aggregate exposure at price ``p``, one investor at a time: capital
+    times the Kelly fraction ``q - p (1-q)/(1-p)`` (long, q >= p) or
+    ``-((1-q) - (1-p) q/p)`` (complement, q < p), summed exactly rounded."""
+    return fsum(
+        c * (q - p * (1.0 - q) / (1.0 - p)) if q >= p
+        else -c * ((1.0 - q) - (1.0 - p) * q / p)
+        for c, q in zip(capitals, beliefs)
+    )
+
+
+def bisection_clearing_price(capitals, beliefs):
+    """Clearing price by bisection on the sign of the aggregate exposure,
+    one Python pass over the investors per halving, or ``None`` when no
+    price in (1e-9, 1 - 1e-9) clears.
+
+    Aggregate exposure (:func:`kelly_exposure`) is non-increasing in the
+    price, so its sign brackets the root.  Halving stops when the bracket
+    is 1e-13 wide and the exposure is within 1e-9, or when no double lies
+    between its ends.
+    """
+    if min(beliefs) == max(beliefs):
+        return beliefs[0] if 0.0 < beliefs[0] < 1.0 else None
+    lo, hi = 1e-9, 1.0 - 1e-9
+    g_lo = kelly_exposure(capitals, beliefs, lo)
+    g_hi = kelly_exposure(capitals, beliefs, hi)
+    if g_lo == 0.0:
+        return lo
+    if g_hi == 0.0:
+        return hi
+    if g_lo < 0.0 or g_hi > 0.0:
+        return None
+    price = 0.5 * (lo + hi)
+    for _ in range(200):
+        price = 0.5 * (lo + hi)
+        g = kelly_exposure(capitals, beliefs, price)
+        if g == 0.0 or price in (lo, hi):
+            break
+        if g > 0.0:
+            lo = price
+        else:
+            hi = price
+        if hi - lo <= 1e-13 and abs(g) <= 1e-9:
+            break
+    return price

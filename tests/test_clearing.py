@@ -1,7 +1,10 @@
 import math
+import time
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from kellymarket.clearing import (
     Investor,
@@ -16,6 +19,9 @@ from kellymarket.clearing import (
     mean_belief_confident_yes,
     signed_exposure,
 )
+from kellymarket.clearing import _quadratic_root
+
+from oracles import bisection_clearing_price, kelly_exposure
 
 
 def pop(*pairs):
@@ -47,6 +53,21 @@ class TestInvestor:
     def test_empty_population_rejected(self):
         with pytest.raises(ValueError):
             MarketPopulation(())
+
+    def test_investor_has_no_instance_dict(self):
+        assert not hasattr(Investor(1.0, 0.5), "__dict__")
+
+    def test_population_arrays_are_read_only(self):
+        population = pop((2.0, 0.25), (3.0, 1.0))
+        assert population.capitals.tolist() == [2.0, 3.0]
+        assert population.beliefs.tolist() == [0.25, 1.0]
+        for array in (population.capitals, population.beliefs):
+            with pytest.raises(ValueError):
+                array[0] = 0.5
+
+    def test_arrays_do_not_enter_equality_or_hash(self):
+        a, b = pop((2.0, 0.25), (3.0, 1.0)), pop((2.0, 0.25), (3.0, 1.0))
+        assert a == b and hash(a) == hash(b)
 
 
 class TestSignedExposure:
@@ -229,3 +250,111 @@ class TestClosedForms:
         for p in (0.51, 0.9):
             for q in np.linspace(p + 1e-3, 1.0, 50):
                 assert 0.5 - 1e-12 <= mean_belief_confident_no(q, p) <= 1.0
+
+
+# Beliefs for the property test: anywhere in [0, 1], exactly 0 or 1, or
+# within a few 1e-9 of either end of the price bracket (1e-9, 1 - 1e-9).
+_NEAR_END = st.floats(0.0, 3e-9)
+_BELIEF = st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0),
+                    _NEAR_END, _NEAR_END.map(lambda x: 1.0 - x))
+# Pareto capital with tail index 1.5 and minimum 1, by inverse transform.
+_CAPITAL = st.floats(0.0, 0.999).map(lambda u: (1.0 - u) ** (-1.0 / 1.5))
+
+
+@st.composite
+def _populations(draw):
+    """Capitals and beliefs; about half the beliefs repeat a few shared
+    values, so ties are common."""
+    shared = draw(st.lists(_BELIEF, min_size=1, max_size=4))
+    size = draw(st.integers(1, 30))
+    beliefs = [draw(st.sampled_from(shared)) if draw(st.booleans())
+               else draw(_BELIEF) for _ in range(size)]
+    return [draw(_CAPITAL) for _ in range(size)], beliefs
+
+
+def _price_slack(capitals, beliefs, p):
+    """1e-12, widened where the root is ill-conditioned: rounding in the
+    sum of exposures (a few ulps of their total size) moves the root by
+    that much over the slope of aggregate exposure at ``p``."""
+    slope = math.fsum(c * (1.0 - q) / (1.0 - p) ** 2 if q >= p else c * q / p ** 2
+                      for c, q in zip(capitals, beliefs))
+    size = math.fsum(abs(c * (q - p)) / ((1.0 - p) if q >= p else p)
+                     for c, q in zip(capitals, beliefs))
+    return 1e-12 + 16 * np.finfo(float).eps * size / slope if slope > 0.0 else math.inf
+
+
+class TestClosedFormSolver:
+    @given(_populations())
+    @settings(max_examples=300, deadline=None)
+    # root 7.5e-9 below 1: only the nearest double clears to 1e-9
+    @example(([1.0, 1.0, 1.0, 1.0, 2.5198420997897464],
+              [0.0, 0.0, 0.0, 1.0, 0.9999999984605421]))
+    # exposure nearly flat in the price: the root is ill-conditioned
+    @example(([1.000000001544893, 1.0], [1.4162875592985533e-09, 1.0]))
+    @example(([1.0, 1.0], [0.0, 1.0]))
+    def test_agrees_with_bisection(self, population):
+        capitals, beliefs = population
+        market = pop(*zip(capitals, beliefs))
+        want = bisection_clearing_price(capitals, beliefs)
+        tol = 1e-9
+        try:
+            result = clearing_price(market, tol)
+        except NoInteriorClearing:
+            assert want is None
+            return
+        except ValueError:
+            # the residual check failed: then no double next to the
+            # bisection's price clears to tol either
+            assert want is not None
+            near = (np.nextafter(want, 0.0), want, np.nextafter(want, 1.0))
+            assert min(abs(kelly_exposure(capitals, beliefs, float(p)))
+                       for p in near) > tol
+            return
+        assert want is not None
+        slack = _price_slack(capitals, beliefs, want)
+        assert abs(result.price - want) <= slack
+        assert abs(result.residual) <= tol
+        for lam in (0.1, 7.0, 1000.0):
+            scaled = clearing_price(market.scaled(lam), tol * lam)
+            assert abs(scaled.price - result.price) <= slack
+
+    def test_quadratic_root_picks_and_keeps_the_segment_root(self):
+        # (p - 0.2)(p - 0.7) = p^2 - 0.9 p + 0.14 has a root in each segment
+        assert _quadratic_root(1.0, -0.9, 0.14, 0.1, 0.3) == pytest.approx(0.2)
+        assert _quadratic_root(1.0, -0.9, 0.14, 0.5, 0.8) == pytest.approx(0.7)
+        # linear: -2 p + 1
+        assert _quadratic_root(0.0, -2.0, 1.0, 0.4, 0.6) == 0.5
+        # a root just outside the segment is clamped to its nearer end
+        assert _quadratic_root(1.0, -0.9, 0.14, 0.2 + 1e-15, 0.3) == 0.2 + 1e-15
+        assert _quadratic_root(1.0, -0.9, 0.14, 0.1, 0.2 - 1e-15) == 0.2 - 1e-15
+        # no root but p = 0: the price stays inside the segment
+        assert _quadratic_root(0.0, 0.0, 0.0, 0.25, 0.5) == 0.25
+
+    def test_root_at_a_belief(self):
+        # the 0.4-believer holds nothing at the clearing price 0.4
+        result = clearing_price(pop((3.0, 0.6), (5.0, 0.4), (1.0, 0.0)))
+        assert result.price == pytest.approx(0.4, abs=1e-15)
+        assert result.exposures[1] == pytest.approx(0.0, abs=1e-14)
+
+    def test_root_near_one_is_the_nearest_double(self):
+        # three confident-no dollars against one confident-yes dollar and
+        # 2.52 dollars at belief 1 - 1.54e-9 clear 7.5e-9 below 1, where
+        # one ulp of the price moves aggregate exposure by about 7.7e-9
+        capitals = [1.0, 1.0, 1.0, 1.0, 2.5198420997897464]
+        beliefs = [0.0, 0.0, 0.0, 1.0, 0.9999999984605421]
+        result = clearing_price(pop(*zip(capitals, beliefs)))
+        assert result.price == bisection_clearing_price(capitals, beliefs)
+        assert abs(result.residual) <= 1e-9
+
+    def test_hundred_thousand_investors_within_budget(self):
+        # about 0.1 s on a 2-core x86 box; bisection took seconds
+        rng = np.random.default_rng(5)
+        capitals = rng.pareto(1.5, 100_000) + 1.0
+        beliefs = rng.uniform(0.0, 1.0, 100_000)
+        market = pop(*zip(capitals.tolist(), beliefs.tolist()))
+        tol = 1e-12 * math.fsum(capitals)
+        start = time.perf_counter()
+        result = clearing_price(market, tol)
+        elapsed = time.perf_counter() - start
+        assert abs(result.residual) <= tol
+        assert elapsed < 1.5

@@ -1,6 +1,12 @@
+import contextlib
+import io
 import json
+import math
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kellymarket.cli import main, sweep_records
 
@@ -18,6 +24,27 @@ def invoke(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out
+
+
+def run_cli(*argv):
+    """``main`` with stdout and stderr captured, for use under hypothesis
+    (which cannot share a function-scoped capsys across examples)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+def _reject_constant(token):
+    raise ValueError(f"{token} is not JSON")
+
+
+def strict_json_lines(text):
+    """Every line parsed as strict JSON: the Infinity and NaN tokens that
+    json.loads would otherwise accept are refused too."""
+    lines = text.splitlines()
+    assert lines
+    return [json.loads(line, parse_constant=_reject_constant) for line in lines]
 
 
 class TestFraction:
@@ -98,6 +125,30 @@ class TestClear:
     def test_missing_file_exits_2(self, capsys):
         code, _ = invoke(capsys, "clear", "/nonexistent/pop.csv")
         assert code == 2
+
+    @pytest.mark.parametrize("name, text, detail", [
+        ("pop.json", '[{"capital": 1.0, "belief": 0.5},\n', "invalid JSON"),
+        ("pop.json", '[{"capital": 1.0, "belief": 0.5}, {"capital": 2.0}]',
+         "row 2: no 'belief' field"),
+        ("pop.json", '[{"belief": 0.5}]', "row 1: no 'capital' field"),
+        ("pop.json", '[7]', "row 1: no 'capital' field"),
+        ("pop.json", '[{"capital": "lots", "belief": 0.5}]',
+         "row 1: capital is not a number"),
+        ("pop.csv", "capital,belief\n1,0.5\n2,abc\n",
+         "row 2: belief is not a number"),
+        ("pop.csv", "capital,belief\n1,0.5\n2\n", "row 2: belief is not a number"),
+        ("pop.csv", "capital,belief\n1,0.5\n2,1.5\n", "row 2: belief must lie"),
+        ("pop.csv", "capital,belief\n", "at least one investor"),
+    ])
+    def test_bad_contents_exit_2_naming_the_file(self, tmp_path, capsys, name,
+                                                 text, detail):
+        path = tmp_path / name
+        path.write_text(text)
+        code = main(["clear", str(path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert str(path) in err
+        assert detail in err
 
 
 class TestBounds:
@@ -208,6 +259,49 @@ class TestSimulate:
             main(["simulate", "--N", "10", "--p", "0.6", "--f", "0.2",
                   "--paths", "100"])
         assert err.value.code == 2
+
+
+class TestNonFiniteQ:
+    @pytest.mark.parametrize("argv", [
+        ("kq", "--f", "0.5", "--N", "10"),
+        ("simulate", "--N", "10", "--p", "0.6", "--f", "0.2", "--paths", "50",
+         "--seed", "3"),
+    ], ids=["kq", "simulate"])
+    @pytest.mark.parametrize("q", ["inf", "-inf", "nan"])
+    def test_exit_2_naming_q(self, capsys, argv, q):
+        code = main([*argv, f"--Q={q}"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert re.search(r"\bQ\b", captured.err)
+
+    @given(f=st.floats(1e-9, 1.0 - 1e-9), n=st.integers(1, 10 ** 6),
+           q=st.floats(allow_nan=False, allow_infinity=False))
+    @settings(max_examples=200, deadline=None)
+    def test_kq_prints_json_at_every_finite_q(self, f, n, q):
+        code, out, err = run_cli("kq", "--f", repr(f), "--N", str(n),
+                                 f"--Q={q!r}")
+        if code == 0:
+            (record,) = strict_json_lines(out)
+            assert math.isfinite(record["k_q"])
+        else:
+            # only a target so large that k_q overflows is refused
+            assert code == 2 and out == "" and re.search(r"\bQ\b", err)
+
+    @given(n=st.integers(1, 80), p=st.floats(0.01, 0.99),
+           f=st.floats(0.0, 0.99), q=st.floats(-1e3, 1e3),
+           seed=st.integers(0, 2 ** 64 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_simulate_prints_json_at_every_finite_q(self, n, p, f, q, seed):
+        code, out, err = run_cli("simulate", "--N", str(n), "--p", repr(p),
+                                 "--f", repr(f), f"--Q={q!r}",
+                                 "--paths", "40", "--seed", str(seed))
+        if code == 0:
+            (record,) = strict_json_lines(out)
+            assert record["Q"] == pytest.approx(q, rel=1e-14, abs=0.0)
+        else:
+            # a tiny f makes k_q overflow, which is refused as for kq
+            assert code == 2 and out == "" and re.search(r"\bQ\b", err)
 
 
 class TestSweep:

@@ -235,6 +235,15 @@ class TestThresholdSteps:
         with pytest.raises(ValueError):
             threshold_steps(1.0, WalkSpec(10, 0.5), 0.0)
 
+    @pytest.mark.parametrize("q_target", [math.inf, -math.inf, math.nan])
+    def test_rejects_non_finite_target(self, q_target):
+        with pytest.raises(ValueError, match=r"\bQ\b"):
+            threshold_steps(0.5, WalkSpec(10, 0.5), q_target)
+
+    def test_rejects_target_whose_step_count_overflows(self):
+        with pytest.raises(ValueError, match=r"\bQ\b"):
+            threshold_steps(0.01, WalkSpec(10, 0.5), 1e308)
+
 
 class TestProbGrowthBelow:
     def test_unreachable_threshold(self):

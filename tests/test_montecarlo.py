@@ -38,6 +38,11 @@ class TestSimConfig:
         with pytest.raises(ValueError, match="paths"):
             SimConfig(WalkSpec(10, 0.5), 0.1, 2 ** 32, 1)
 
+    @pytest.mark.parametrize("threshold", [math.inf, -math.inf, math.nan])
+    def test_rejects_non_finite_threshold(self, threshold):
+        with pytest.raises(ValueError, match=r"\bQ\b"):
+            SimConfig(WalkSpec(10, 0.5), 0.1, 10, 1, threshold)
+
 
 class TestRun:
     def test_zero_fraction_is_exactly_flat(self):
