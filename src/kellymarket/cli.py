@@ -14,6 +14,8 @@ import argparse
 import csv
 import io
 import json
+import math
+import re
 import sys
 
 from . import clearing, growth, kelly, montecarlo
@@ -122,15 +124,19 @@ def _record_fraction(q, p, alpha=1.0):
 def _record_bounds(N, p, k):
     spec = growth.WalkSpec(N, p)
     lower = growth.chernoff_lower(spec, k) if k >= 1 else None
+    log_cdf = growth.log_binomial_cdf(spec, k)
+    upper = growth.chernoff_upper(spec, k)
+    if log_cdf == -math.inf:
+        raise ValueError("tail probability is zero; rate undefined")
     return {
         "N": spec.steps,
         "p": p,
         "k": int(k),
-        "exact_cdf": growth.binomial_cdf(spec, k),
-        "upper": growth.chernoff_upper(spec, k),
+        "exact_cdf": math.exp(log_cdf),
+        "upper": upper,
         "lower": lower,
         "kl": growth.kl_divergence(k / spec.steps, p),
-        "rate_per_step": growth.rate_per_step(spec, k),
+        "rate_per_step": -log_cdf / spec.steps,
     }
 
 
@@ -379,9 +385,30 @@ def _dispatch(args, out):
             _emit_csv(records, out)  # sweeps default to CSV: they feed plots
 
 
+_VALUE_OPTION = re.compile(r"--\w+")
+
+
+def _attach_negative_values(argv):
+    """Join ``--opt -1e-3`` into ``--opt=-1e-3``.
+
+    argparse reads a token that starts with '-' as an option unless it is
+    a plain negative integer or decimal, so a value in exponent notation,
+    or -inf, after a space would be refused as a missing argument.
+    """
+    joined = []
+    for token in argv:
+        if joined and _VALUE_OPTION.fullmatch(joined[-1]) \
+                and token.startswith("-") and _is_number(token):
+            joined[-1] += "=" + token
+        else:
+            joined.append(token)
+    return joined
+
+
 def main(argv=None):
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(
+        _attach_negative_values(sys.argv[1:] if argv is None else argv))
     try:
         _dispatch(args, sys.stdout)
     except clearing.NoInteriorClearing as exc:

@@ -4,12 +4,16 @@ Nothing here imports the closed forms it is used to check: utilities are
 maximized by brute-force grid search, tail probabilities are summed in
 exact rational arithmetic, derivatives come from finite differences,
 Monte Carlo streams are drawn through numpy's own SeedSequence and Philox,
-and clearing prices are found by bisection.
+clearing prices are found by bisection, and large-N binomial tails are
+summed in 50-digit mpmath arithmetic or with exact big-integer
+coefficients.
 """
 
+import math
 from fractions import Fraction
 from math import comb, fsum
 
+import mpmath
 import numpy as np
 
 
@@ -77,6 +81,55 @@ def exact_binomial_cdf(n, p, k):
     for i in range(min(k, n) + 1):
         total += comb(n, i) * p ** i * (1 - p) ** (n - i)
     return total
+
+
+def big_integer_log_binomial_cdf(n, p, k):
+    """log P(up-steps <= k) for an integer 0 <= k < n from log pmf terms
+    whose binomial coefficients are exact big integers, then max +
+    log-sum-exp clamped at 0: the term loop ``growth`` uses for short
+    horizons, kept here to pin those bits and as a second large-N
+    reference (its cost grows as about k^1.7)."""
+    log_p, log_1mp = math.log(p), math.log1p(-p)
+    terms = np.empty(k + 1)
+    c = 1
+    for i in range(k + 1):
+        terms[i] = math.log(c) + i * log_p + (n - i) * log_1mp
+        c = c * (n - i) // (i + 1)
+    m = terms.max()
+    return min(float(m + math.log(np.exp(terms - m).sum())), 0.0)
+
+
+def mpmath_log_binomial_cdf(n, p, k):
+    """log P(up-steps <= k) for an integer 0 <= k < n in 50-digit
+    arithmetic, p taken at its exact binary value.
+
+    Starts at the largest term wanted, j0 = min(k, mode), and walks the
+    pmf ratio recurrence down from j0 and up to k, each way until a term
+    falls below 1e-30 of the running sum (the pmf is unimodal, so every
+    later term is smaller still).
+    """
+    with mpmath.workdps(50):
+        P = mpmath.mpf(p)
+        Q = 1 - P
+        j0 = min(k, math.floor((n + 1) * p))
+        first = mpmath.binomial(n, j0) * P ** j0 * Q ** (n - j0)
+        total, cut = first, mpmath.mpf(10) ** -30
+        down, up = Q / P, P / Q
+        t, j = first, j0
+        while j > 0:
+            t = t * down * j / (n - j + 1)
+            total += t
+            if t < total * cut:
+                break
+            j -= 1
+        t, j = first, j0 + 1
+        while j <= k:
+            t = t * up * (n - j + 1) / j
+            total += t
+            if t < total * cut:
+                break
+            j += 1
+        return float(mpmath.log(total))
 
 
 def central_difference(func, x, h):

@@ -261,12 +261,75 @@ class TestSimulate:
         assert err.value.code == 2
 
 
+def q_option(value, spaced):
+    """``--Q`` as one token (``--Q=value``) or two (``--Q value``)."""
+    return ("--Q", value) if spaced else (f"--Q={value}",)
+
+
+def run_cli_exit(*argv):
+    """:func:`run_cli`, but an argparse refusal is returned, with its exit
+    code and message, instead of raised.  (:func:`run_cli` lets it raise,
+    so that the property tests cannot take a refusal such as "--Q:
+    expected one argument" for a rejection that names Q.)"""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestNegativeValues:
+    """Every numeric option takes a value in exponent notation, or -inf,
+    after a space as well as after '='."""
+
+    COMMANDS = {
+        "fraction": ("--q", "0.6", "--p", "0.5", "--alpha", "1"),
+        "bounds": ("--N", "100", "--p", "0.6", "--k", "40"),
+        "kq": ("--f", "0.5", "--N", "10", "--Q", "0"),
+        "sensitivity": ("--mode", "bias", "--N", "100", "--k", "40",
+                        "--p", "0.6", "--eps", "0.01"),
+        "simulate": ("--N", "10", "--p", "0.6", "--f", "0.2", "--Q", "0",
+                     "--paths", "50", "--seed", "3", "--workers", "1"),
+    }
+    CASES = [(command, option)
+             for command, argv in COMMANDS.items()
+             for option in argv[::2] if option != "--mode"]
+
+    @pytest.mark.parametrize("value", ["-1e-3", "-inf"])
+    @pytest.mark.parametrize("command, option", CASES)
+    def test_space_form_reads_like_equals_form(self, command, option, value):
+        argv = list(self.COMMANDS[command])
+        at = argv.index(option)
+        spaced = run_cli_exit(command, *argv[:at], option, value,
+                              *argv[at + 2:])
+        joined = run_cli_exit(command, *argv[:at], f"{option}={value}",
+                              *argv[at + 2:])
+        assert spaced == joined
+        assert "expected one argument" not in spaced[2]
+
+    def test_clear_tolerance(self, tmp_path):
+        path = tmp_path / "pop.csv"
+        path.write_text("capital,belief\n1,0.3\n2,0.6\n", encoding="utf-8")
+        for value in ("-1e-9", "1e-9"):
+            assert run_cli_exit("clear", str(path), "--tol", value) == \
+                run_cli_exit("clear", str(path), f"--tol={value}")
+
+    def test_kq_in_exponent_notation(self):
+        code, out, _ = run_cli("kq", "--f", "0.5", "--N", "10", "--Q", "-1e-3")
+        assert code == 0
+        assert strict_json_lines(out)[0]["Q"] == -1e-3
+
+
 class TestNonFiniteQ:
-    @pytest.mark.parametrize("argv", [
+    Q_COMMANDS = pytest.mark.parametrize("argv", [
         ("kq", "--f", "0.5", "--N", "10"),
         ("simulate", "--N", "10", "--p", "0.6", "--f", "0.2", "--paths", "50",
          "--seed", "3"),
     ], ids=["kq", "simulate"])
+
+    @Q_COMMANDS
     @pytest.mark.parametrize("q", ["inf", "-inf", "nan"])
     def test_exit_2_naming_q(self, capsys, argv, q):
         code = main([*argv, f"--Q={q}"])
@@ -275,12 +338,22 @@ class TestNonFiniteQ:
         assert captured.out == ""
         assert re.search(r"\bQ\b", captured.err)
 
+    @Q_COMMANDS
+    @pytest.mark.parametrize("q", ["inf", "-inf", "nan"])
+    def test_exit_2_naming_q_after_a_space(self, capsys, argv, q):
+        code = main([*argv, "--Q", q])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert re.search(r"\bQ\b.*finite", captured.err)
+
     @given(f=st.floats(1e-9, 1.0 - 1e-9), n=st.integers(1, 10 ** 6),
-           q=st.floats(allow_nan=False, allow_infinity=False))
+           q=st.floats(allow_nan=False, allow_infinity=False),
+           spaced=st.booleans())
     @settings(max_examples=200, deadline=None)
-    def test_kq_prints_json_at_every_finite_q(self, f, n, q):
+    def test_kq_prints_json_at_every_finite_q(self, f, n, q, spaced):
         code, out, err = run_cli("kq", "--f", repr(f), "--N", str(n),
-                                 f"--Q={q!r}")
+                                 *q_option(repr(q), spaced))
         if code == 0:
             (record,) = strict_json_lines(out)
             assert math.isfinite(record["k_q"])
@@ -290,11 +363,12 @@ class TestNonFiniteQ:
 
     @given(n=st.integers(1, 80), p=st.floats(0.01, 0.99),
            f=st.floats(0.0, 0.99), q=st.floats(-1e3, 1e3),
-           seed=st.integers(0, 2 ** 64 - 1))
+           seed=st.integers(0, 2 ** 64 - 1), spaced=st.booleans())
     @settings(max_examples=60, deadline=None)
-    def test_simulate_prints_json_at_every_finite_q(self, n, p, f, q, seed):
+    def test_simulate_prints_json_at_every_finite_q(self, n, p, f, q, seed,
+                                                    spaced):
         code, out, err = run_cli("simulate", "--N", str(n), "--p", repr(p),
-                                 "--f", repr(f), f"--Q={q!r}",
+                                 "--f", repr(f), *q_option(repr(q), spaced),
                                  "--paths", "40", "--seed", str(seed))
         if code == 0:
             (record,) = strict_json_lines(out)

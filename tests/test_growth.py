@@ -1,4 +1,6 @@
+import functools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kellymarket.growth import (
+    LOOP_MAX_STEPS,
     OutOfValidityRegion,
     WalkSpec,
     binomial_cdf,
@@ -22,7 +25,12 @@ from kellymarket.growth import (
     threshold_steps,
 )
 
-from oracles import even_odds_argmax, exact_binomial_cdf
+from oracles import (
+    big_integer_log_binomial_cdf,
+    even_odds_argmax,
+    exact_binomial_cdf,
+    mpmath_log_binomial_cdf,
+)
 
 
 class TestWalkSpec:
@@ -88,6 +96,24 @@ class TestBinomialCdf:
         spec = WalkSpec(25, 0.3)
         values = [binomial_cdf(spec, k) for k in range(26)]
         assert all(b >= a for a, b in zip(values, values[1:]))
+
+    @pytest.mark.parametrize("n", [10, 1000])
+    def test_infinite_k_follows_the_floor(self, n):
+        spec = WalkSpec(n, 0.6)
+        assert log_binomial_cdf(spec, -math.inf) == -math.inf
+        assert log_binomial_cdf(spec, math.inf) == 0.0
+        assert binomial_cdf(spec, -math.inf) == 0.0
+        assert binomial_cdf(spec, math.inf) == 1.0
+        assert rate_per_step(spec, math.inf) == 0.0
+        assert log_binomial_cdf(spec, 10 ** 400) == 0.0  # beyond any float
+        assert log_binomial_cdf(spec, -10 ** 400) == -math.inf
+
+    @pytest.mark.parametrize("n", [10, 1000])
+    def test_nan_k_is_refused_naming_k(self, n):
+        spec = WalkSpec(n, 0.6)
+        for func in (log_binomial_cdf, binomial_cdf, rate_per_step):
+            with pytest.raises(ValueError, match=r"\bk\b"):
+                func(spec, math.nan)
 
     @given(st.integers(min_value=1, max_value=200),
            st.floats(min_value=0.05, max_value=0.95))
@@ -340,3 +366,77 @@ class TestLogCdfLargeHorizon:
         assert log_f < -700.0  # plain float CDF would underflow to 0
         assert math.isfinite(log_f)
         assert rate_per_step(spec, 4000) == pytest.approx(-log_f / 10000.0)
+
+
+# The exact-tail grid: N log-uniform from just above the term-loop crossover
+# to 10^5 (seeded), plus 3 x 10^4 and 10^5 themselves; p from 1e-9 to
+# 1 - 1e-9; k at both ends of the support and at fixed distances, in
+# standard deviations, below and above the mean.
+_GRID_RNG = np.random.default_rng(4)
+GRID_N = sorted({LOOP_MAX_STEPS + 1, 30_000, 100_000, *(
+    int(x) for x in np.exp(_GRID_RNG.uniform(
+        math.log(LOOP_MAX_STEPS + 2), math.log(1e5), 5)))})
+GRID_P = (1e-9, 0.05, 0.3, 0.5, 0.6, 0.95, 1.0 - 1e-9)
+
+# One bound for every cell: 1e-11 absolute on log P, i.e. 1e-11 relative
+# on P (the benchmark's target for growth.max_rel_err), plus 4 units in the
+# last place of the reference, which only counts where |log P| > ~10^4 and
+# the spacing of doubles alone is wider than 1e-11.
+LOG_CDF_TOL = 1e-11
+
+
+def grid_k(n, p):
+    mean, sd = n * p, math.sqrt(n * p * (1.0 - p))
+    ks = [0, n - 1]
+    ks += [math.floor(mean - z * sd) for z in (0.5, 2.5, 10.0, 40.0)]
+    ks += [math.floor(mean + z * sd) for z in (1.0, 3.0)]
+    return sorted({min(max(k, 0), n - 1) for k in ks})
+
+
+@functools.lru_cache(maxsize=None)
+def mpmath_reference(n, p, k):
+    return mpmath_log_binomial_cdf(n, p, k)
+
+
+def grid_misses(log_cdf, n):
+    """Grid cells at horizon n where ``log_cdf(n, p, k)`` misses the
+    50-digit reference by more than the bound."""
+    misses = []
+    for p in GRID_P:
+        for k in grid_k(n, p):
+            got, ref = log_cdf(n, p, k), mpmath_reference(n, p, k)
+            if not abs(got - ref) <= LOG_CDF_TOL + 4.0 * math.ulp(ref):
+                misses.append((p, k, got, ref))
+    return misses
+
+
+class TestLogCdfAgainstOracles:
+    def test_bit_identical_to_the_big_integer_loop_up_to_the_crossover(self):
+        assert LOOP_MAX_STEPS >= 10  # the pinned CLI golden runs at N = 10
+        for n in range(1, LOOP_MAX_STEPS + 1):
+            for p in (1e-9, 0.05, 0.5, 0.6, 1.0 - 1e-9):
+                spec = WalkSpec(n, p)
+                for k in range(n):
+                    assert log_binomial_cdf(spec, k) == \
+                        big_integer_log_binomial_cdf(n, p, k), (n, p, k)
+
+    @pytest.mark.parametrize("n", GRID_N)
+    def test_matches_mpmath(self, n):
+        assert grid_misses(
+            lambda n, p, k: log_binomial_cdf(WalkSpec(n, p), k), n) == []
+
+    @pytest.mark.parametrize("n", [n for n in GRID_N if n <= 30_000])
+    def test_big_integer_loop_meets_the_same_bound(self, n):
+        # the bound is not fitted to the numpy terms: the exact-coefficient
+        # loop they replace meets it too, where it is affordable
+        assert grid_misses(big_integer_log_binomial_cdf, n) == []
+
+    def test_hundred_thousand_steps_within_budget(self):
+        # a few ms on a 2-core x86 box; the big-integer loop took 1.7 s
+        spec = WalkSpec(100_000, 0.6)
+        for k in (59_000, 99_999):
+            start = time.perf_counter()
+            log_f = log_binomial_cdf(spec, k)
+            elapsed = time.perf_counter() - start
+            assert math.isfinite(log_f)
+            assert elapsed < 0.15
