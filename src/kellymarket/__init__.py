@@ -2,96 +2,13 @@
 clearing for populations of log-utility bettors, binomial tail bounds on
 finite-horizon growth, and a seeded Monte Carlo validator."""
 
-from .clearing import (
-    ClearingResult,
-    Investor,
-    MarketPopulation,
-    NoInteriorClearing,
-    aggregate_exposure,
-    clearing_price,
-    confident_no_capital,
-    confident_yes_capital,
-    mean_belief,
-    mean_belief_confident_no,
-    mean_belief_confident_yes,
-    signed_exposure,
-)
-from .growth import (
-    OutOfValidityRegion,
-    WalkSpec,
-    binomial_cdf,
-    binomial_pmf,
-    chernoff_lower,
-    chernoff_upper,
-    kelly_fraction_even_odds,
-    kl_divergence,
-    log_binomial_cdf,
-    prob_growth_below,
-    rate_per_step,
-    sensitivity_bias,
-    sensitivity_fraction,
-    threshold_steps,
-)
-from .kelly import (
-    even_odds_growth_rate,
-    log_utility,
-    log_utility_alpha,
-    odds_to_probability,
-    optimal_fraction,
-    optimal_fraction_alpha,
-    probability_to_odds,
-)
-from .montecarlo import (
-    SimConfig,
-    SimResult,
-    StrategyComparison,
-    compare_strategies,
-    run,
-    threshold_validation,
-    threshold_z,
-)
+from . import clearing, growth, kelly, montecarlo
+from .clearing import *  # noqa: F401,F403
+from .growth import *  # noqa: F401,F403
+from .kelly import *  # noqa: F401,F403
+from .montecarlo import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ClearingResult",
-    "Investor",
-    "MarketPopulation",
-    "NoInteriorClearing",
-    "OutOfValidityRegion",
-    "SimConfig",
-    "SimResult",
-    "StrategyComparison",
-    "WalkSpec",
-    "aggregate_exposure",
-    "binomial_cdf",
-    "binomial_pmf",
-    "chernoff_lower",
-    "chernoff_upper",
-    "clearing_price",
-    "compare_strategies",
-    "confident_no_capital",
-    "confident_yes_capital",
-    "even_odds_growth_rate",
-    "kelly_fraction_even_odds",
-    "kl_divergence",
-    "log_binomial_cdf",
-    "log_utility",
-    "log_utility_alpha",
-    "mean_belief",
-    "mean_belief_confident_no",
-    "mean_belief_confident_yes",
-    "odds_to_probability",
-    "optimal_fraction",
-    "optimal_fraction_alpha",
-    "prob_growth_below",
-    "probability_to_odds",
-    "rate_per_step",
-    "run",
-    "sensitivity_bias",
-    "sensitivity_fraction",
-    "signed_exposure",
-    "threshold_steps",
-    "threshold_validation",
-    "threshold_z",
-]
+__all__ = sorted(clearing.__all__ + growth.__all__ + kelly.__all__
+                 + montecarlo.__all__)

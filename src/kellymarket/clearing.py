@@ -198,16 +198,19 @@ def _quadratic_root(a2, a1, a0, lower, upper):
     return min(max(best, lower), upper)
 
 
-def clearing_price(pop, tol=1e-9):
+def clearing_price(pop, tol=None):
     """Solve for the price at which the market clears.
 
     Returns a :class:`ClearingResult` whose residual is the (tiny) leftover
-    aggregate exposure.  A population with one shared interior belief
-    clears trivially at that belief with zero volume.  Raises
-    :class:`NoInteriorClearing` when exposure has the same sign across the
-    whole interior bracket.
+    aggregate exposure; a residual beyond ``tol`` dollars, by default 1e-9
+    of the market's total capital, is a ``ValueError``.  A population with
+    one shared interior belief clears trivially at that belief with zero
+    volume.  Raises :class:`NoInteriorClearing` when exposure has the same
+    sign across the whole interior bracket.
     """
-    tol = check_positive(tol, "tol")
+    # the residual's rounding grows with the capital, so the default does
+    tol = (1e-9 * pop.total_capital if tol is None
+           else check_positive(tol, "tol"))
     beliefs = pop.beliefs
     if beliefs.min() == beliefs.max():
         q = float(beliefs[0])

@@ -1,17 +1,24 @@
 """Command-line front end.
 
-Subcommands: fraction, clear, bounds, kq, sensitivity, simulate, sweep.
-Records are printed as JSON (15 significant digits) or, with --csv, as a
-one-row CSV table (9 significant digits, plot-bound).  Every command is a
-pure function of its arguments: identical invocations give byte-identical
-output, and randomized commands require an explicit --seed.
+Subcommands: fraction, clear, bounds, kq, sensitivity, simulate, sweep;
+:data:`COMMANDS` holds each one's record builder, help and options.
+Records print as JSON (15 significant digits) or, with --csv, as a CSV
+table (9 significant digits, plot-bound); sweeps print CSV unless --json
+is given.  Identical invocations give byte-identical output; randomized
+commands require an explicit --seed.  ``clear`` accepts a residual of
+--tol dollars, by default 1e-9 of the market's total capital; a sweep
+grid holds at most :data:`SWEEP_MAX_POINTS` points.
 
 Exit codes: 0 success, 2 bad input or precondition violation, 3 no
-interior clearing price exists.
+interior clearing price exists.  A failure prints one ``error:`` line to
+stderr and nothing to stdout, naming the population or sweep file at
+fault; a record holding a non-finite number is refused naming its field.
 """
-
 import argparse
+import collections
 import csv
+import functools
+import inspect
 import io
 import json
 import math
@@ -23,92 +30,38 @@ from . import clearing, growth, kelly, montecarlo
 EXIT_BAD_INPUT = 2
 EXIT_NO_SOLUTION = 3
 
-_JSON_DIGITS = 15
-_CSV_DIGITS = 9
+SWEEP_MAX_POINTS = 10_000
 
 
-# ---------------------------------------------------------------------------
-# output formatting
-# ---------------------------------------------------------------------------
-
-def _fmt(value, digits):
-    if value is None:
-        return None
-    if isinstance(value, bool) or isinstance(value, int):
-        return value
+def _token(key, value, as_csv):
+    """One JSON token, or one CSV cell (lists joined by ';')."""
     if isinstance(value, float):
-        return format(value, f".{digits}g")
+        if not math.isfinite(value):
+            raise ValueError(f"{key} is not finite: {value!r}")
+        return format(value, ".9g" if as_csv else ".15g")
     if isinstance(value, (list, tuple)):
-        return [_fmt(v, digits) for v in value]
-    return value
-
-
-def _json_token(value):
-    if value is None:
-        return "null"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, list):
-        return "[" + ", ".join(_json_token(v) for v in value) + "]"
-    if isinstance(value, str):
-        return value if _is_number(value) else json.dumps(value)
+        tokens = [_token(key, v, as_csv) for v in value]
+        return ";".join(tokens) if as_csv else "[" + ", ".join(tokens) + "]"
+    if as_csv:
+        return "" if value is None else str(value)
     return json.dumps(value)
 
 
-def _is_number(s):
-    try:
-        float(s)
-        return True
-    except ValueError:
-        return False
-
-
-def _emit_json(record, out):
-    parts = ", ".join(
-        f"{json.dumps(k)}: {_json_token(v)}"
-        for k, v in _fmt_record(record, _JSON_DIGITS).items()
-    )
-    out.write("{" + parts + "}\n")
-
-
-def _fmt_record(record, digits):
-    return {k: _fmt(v, digits) for k, v in record.items()}
-
-
-def _csv_cell(value):
-    if value is None:
-        return ""
-    if isinstance(value, list):
-        return ";".join(str(v) for v in value)
-    return str(value)
-
-
-def _emit_csv(records, out):
-    records = list(records)
+def _format(records, as_csv):
+    """One JSON object per record and line, or one CSV table."""
+    if not as_csv:
+        return "".join(
+            "{" + ", ".join(f"{json.dumps(k)}: {_token(k, v, False)}"
+                            for k, v in rec.items()) + "}\n"
+            for rec in records
+        )
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(records[0].keys())
-    for rec in records:
-        writer.writerow(
-            [_csv_cell(v) for v in _fmt_record(rec, _CSV_DIGITS).values()]
-        )
-    out.write(buf.getvalue())
+    writer.writerow(records[0])
+    writer.writerows([_token(k, v, True) for k, v in rec.items()]
+                     for rec in records)
+    return buf.getvalue()
 
-
-def _emit(records, args, out):
-    records = records if isinstance(records, list) else [records]
-    if args.csv:
-        _emit_csv(records, out)
-    else:
-        for rec in records:
-            _emit_json(rec, out)
-
-
-# ---------------------------------------------------------------------------
-# record builders (shared between subcommands and sweep)
-# ---------------------------------------------------------------------------
 
 def _record_fraction(q, p, alpha=1.0):
     if alpha == 1.0:
@@ -128,16 +81,10 @@ def _record_bounds(N, p, k):
     upper = growth.chernoff_upper(spec, k)
     if log_cdf == -math.inf:
         raise ValueError("tail probability is zero; rate undefined")
-    return {
-        "N": spec.steps,
-        "p": p,
-        "k": int(k),
-        "exact_cdf": math.exp(log_cdf),
-        "upper": upper,
-        "lower": lower,
-        "kl": growth.kl_divergence(k / spec.steps, p),
-        "rate_per_step": -log_cdf / spec.steps,
-    }
+    return {"N": spec.steps, "p": p, "k": int(k),
+            "exact_cdf": math.exp(log_cdf), "upper": upper, "lower": lower,
+            "kl": growth.kl_divergence(k / spec.steps, p),
+            "rate_per_step": -log_cdf / spec.steps}
 
 
 def _record_kq(f, N, Q):
@@ -150,7 +97,7 @@ def _record_growth(p, f):
     return {"p": p, "f": f, "growth_rate": kelly.even_odds_growth_rate(p, f)}
 
 
-def _record_sensitivity(mode, N=None, k=None, p=None, eps=None):
+def _record_sensitivity(mode, p, eps, N=None, k=None):
     if mode == "bias":
         if N is None or k is None:
             raise ValueError("bias mode needs --N and --k")
@@ -160,10 +107,9 @@ def _record_sensitivity(mode, N=None, k=None, p=None, eps=None):
                 "exact": exact, "first_order": first_order}
     if mode == "fraction":
         exact, quadratic = growth.sensitivity_fraction(p, eps)
-        coeff = -1.0 / (8.0 * p * (1.0 - p))
         alt_coeff = growth.stated_quadratic_coefficient(p)
         return {"mode": mode, "p": p, "eps": eps, "exact": exact,
-                "quadratic": quadratic, "quadratic_coefficient": coeff,
+                "quadratic": quadratic, "quadratic_coefficient": alt_coeff / 2,
                 "alt_quadratic_coefficient": alt_coeff,
                 "alt_quadratic": alt_coeff * eps * eps}
     raise ValueError(f"unknown sensitivity mode {mode!r}")
@@ -188,9 +134,50 @@ def _record_simulate(N, p, f, paths, seed, Q=None, workers=1):
             "z_score": z}
 
 
-# ---------------------------------------------------------------------------
-# population files
-# ---------------------------------------------------------------------------
+def _record_clear(population_file, tol=None):
+    pop = load_population(population_file)
+    result = clearing.clearing_price(pop, tol=tol)
+    return {"price": result.price, "mean_belief": result.mean_belief,
+            "gap": result.gap, "residual": result.residual,
+            "exposures": list(result.exposures)}
+
+
+def _record_sweep(sweep_file):
+    with open(sweep_file, encoding="utf-8") as fh:
+        try:
+            points = _sweep_points(json.load(fh))
+        except ValueError as exc:  # invalid JSON included
+            raise ValueError(f"{sweep_file}: {exc}") from None
+    return [point() for point in points]
+
+
+Command = collections.namedtuple("Command", "build help options sweep")
+
+# Each command's options map the builder's parameter names to their
+# types, in the order usage lines show them.  An option is required unless
+# the builder gives it a default; a str option is a positional file name
+# and a tuple lists a string's choices.  ``sweep`` marks sweep targets; a
+# command without help is a sweep target only.
+COMMANDS = {
+    "fraction": Command(_record_fraction, "optimal bet fraction",
+                        {"q": float, "p": float, "alpha": float}, True),
+    "clear": Command(_record_clear, "solve the market-clearing price",
+                     {"population_file": str, "tol": float}, False),
+    "bounds": Command(_record_bounds, "binomial tail and its bounds",
+                      {"N": int, "p": float, "k": int}, True),
+    "kq": Command(_record_kq, "up-steps needed to hit a log-wealth target",
+                  {"f": float, "N": int, "Q": float}, True),
+    "sensitivity": Command(_record_sensitivity, "misestimation penalties",
+                           {"mode": ("bias", "fraction"), "N": int, "k": int,
+                            "p": float, "eps": float}, True),
+    "simulate": Command(_record_simulate, "Monte Carlo double-or-nothing run",
+                        {"N": int, "p": float, "f": float, "Q": float,
+                         "paths": int, "seed": int, "workers": int}, False),
+    "sweep": Command(_record_sweep, "CSV table over a parameter grid",
+                     {"sweep_file": str}, False),
+    "growth": Command(_record_growth, None, {"p": float, "f": float}, True),
+}
+
 
 def load_population(path):
     """Read investors from a CSV (header ``capital,belief``) or a JSON
@@ -242,63 +229,54 @@ def _investor(path, row, record):
         raise ValueError(f"{path}: row {row}: {exc}") from None
 
 
-def _record_clear(population_file, tol):
-    pop = load_population(population_file)
-    result = clearing.clearing_price(pop, tol=tol)
-    return {
-        "price": result.price,
-        "mean_belief": result.mean_belief,
-        "gap": result.gap,
-        "residual": result.residual,
-        "exposures": list(result.exposures),
-    }
-
-
-# ---------------------------------------------------------------------------
-# sweep
-# ---------------------------------------------------------------------------
-
-_SWEEP_COMMANDS = {
-    "fraction": _record_fraction,
-    "bounds": _record_bounds,
-    "kq": _record_kq,
-    "growth": _record_growth,
-    "sensitivity": _record_sensitivity,
-}
-
-_INT_PARAMS = {"N", "k"}
-
-
 def sweep_records(spec):
     """Evaluate one record per grid point of a sweep description
-    ``{"command", "variable", "range": [start, stop, step], "fixed"}``."""
-    command = spec["command"]
-    if command not in _SWEEP_COMMANDS:
+    ``{"command", "variable", "range": [start, stop, step], "fixed"}``;
+    a malformed one is a ``ValueError`` naming the bad field."""
+    return [point() for point in _sweep_points(spec)]
+
+
+def _sweep_points(spec):
+    """The records of a sweep description, one unevaluated call each."""
+    if not isinstance(spec, dict):
+        raise ValueError(f"expected a JSON object, got {type(spec).__name__}")
+    for key in ("command", "variable", "range"):
+        if key not in spec:
+            raise ValueError(f"no {key!r} field")
+    name, variable, bounds = spec["command"], spec["variable"], spec["range"]
+    targets = sorted(n for n, command in COMMANDS.items() if command.sweep)
+    if name not in targets:
         raise ValueError(
-            f"unknown sweep command {command!r}; "
-            f"choose from {sorted(_SWEEP_COMMANDS)}"
-        )
-    builder = _SWEEP_COMMANDS[command]
-    variable = spec["variable"]
-    start, stop, step = (float(x) for x in spec["range"])
-    if step <= 0 or start > stop:
-        raise ValueError(f"bad range [start, stop, step] = {spec['range']}")
-    fixed = dict(spec.get("fixed", {}))
-    count = int(round((stop - start) / step)) + 1
-    records = []
-    for i in range(count):
+            f"unknown sweep command {name!r}; choose from {targets}")
+    build, _, options, _ = COMMANDS[name]
+    fixed = spec.get("fixed", {})
+    if not isinstance(fixed, dict):
+        raise ValueError(f"fixed must be a JSON object, got {fixed!r}")
+    for field, key in [("variable", variable), *(("fixed", k) for k in fixed)]:
+        if key not in list(options):
+            raise ValueError(f"{field} {key!r} is not a parameter of {name}; "
+                             f"choose from {list(options)}")
+    try:
+        start, stop, step = (float(x) for x in bounds)
+    except (TypeError, ValueError):
+        raise ValueError(
+            f"range must be [start, stop, step], got {bounds!r}") from None
+    if not (math.isfinite(start) and math.isfinite(stop) and step > 0
+            and start <= stop):
+        raise ValueError(f"bad range [start, stop, step] = {bounds}")
+    span = (stop - start) / step
+    if not span <= SWEEP_MAX_POINTS - 1:  # inf too
+        raise ValueError(
+            f"range {bounds} spans more than {SWEEP_MAX_POINTS} points")
+    points = []
+    for i in range(int(round(span)) + 1):
         value = start + i * step
         if value > stop + 1e-12 * max(1.0, abs(stop)):
             break
-        params = dict(fixed)
-        params[variable] = int(round(value)) if variable in _INT_PARAMS else value
-        records.append(builder(**params))
-    return records
+        value = int(round(value)) if options[variable] is int else value
+        points.append(functools.partial(build, **{**fixed, variable: value}))
+    return points
 
-
-# ---------------------------------------------------------------------------
-# argument parsing and dispatch
-# ---------------------------------------------------------------------------
 
 def build_parser():
     parser = argparse.ArgumentParser(
@@ -312,80 +290,32 @@ def build_parser():
     fmt.add_argument("--csv", action="store_true",
                      help="emit CSV instead of JSON")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_fraction = sub.add_parser("fraction", help="optimal bet fraction")
-    p_fraction.add_argument("--q", type=float, required=True)
-    p_fraction.add_argument("--p", type=float, required=True)
-    p_fraction.add_argument("--alpha", type=float, default=1.0)
-
-    p_clear = sub.add_parser("clear", help="solve the market-clearing price")
-    p_clear.add_argument("population_file")
-    p_clear.add_argument("--tol", type=float, default=1e-9)
-
-    p_bounds = sub.add_parser("bounds", help="binomial tail and its bounds")
-    p_bounds.add_argument("--N", type=int, required=True)
-    p_bounds.add_argument("--p", type=float, required=True)
-    p_bounds.add_argument("--k", type=int, required=True)
-
-    p_kq = sub.add_parser("kq", help="up-steps needed to hit a log-wealth target")
-    p_kq.add_argument("--f", type=float, required=True)
-    p_kq.add_argument("--N", type=int, required=True)
-    p_kq.add_argument("--Q", type=float, required=True)
-
-    p_sens = sub.add_parser("sensitivity", help="misestimation penalties")
-    p_sens.add_argument("--mode", choices=("bias", "fraction"), required=True)
-    p_sens.add_argument("--N", type=int)
-    p_sens.add_argument("--k", type=int)
-    p_sens.add_argument("--p", type=float, required=True)
-    p_sens.add_argument("--eps", type=float, required=True)
-
-    p_sim = sub.add_parser("simulate", help="Monte Carlo double-or-nothing run")
-    p_sim.add_argument("--N", type=int, required=True)
-    p_sim.add_argument("--p", type=float, required=True)
-    p_sim.add_argument("--f", type=float, required=True)
-    p_sim.add_argument("--Q", type=float, default=None)
-    p_sim.add_argument("--paths", type=int, required=True)
-    p_sim.add_argument("--seed", type=int, required=True)
-    p_sim.add_argument("--workers", type=int, default=1)
-
-    p_sweep = sub.add_parser("sweep", help="CSV table over a parameter grid")
-    p_sweep.add_argument("sweep_file")
-
+    for name, (build, help_text, options, _) in COMMANDS.items():
+        if help_text is None:
+            continue
+        command = sub.add_parser(name, help=help_text)
+        params = inspect.signature(build).parameters
+        for option, kind in options.items():
+            if kind is str:
+                command.add_argument(option)
+                continue
+            spec = {"choices": kind} if isinstance(kind, tuple) else \
+                {"type": kind}
+            # an option left out is None, and the builder's default applies
+            command.add_argument(f"--{option}", **spec, required=(
+                params[option].default is params[option].empty))
     return parser
 
 
-def _dispatch(args, out):
-    if args.command == "fraction":
-        _emit(_record_fraction(args.q, args.p, args.alpha), args, out)
-    elif args.command == "clear":
-        _emit(_record_clear(args.population_file, args.tol), args, out)
-    elif args.command == "bounds":
-        _emit(_record_bounds(args.N, args.p, args.k), args, out)
-    elif args.command == "kq":
-        _emit(_record_kq(args.f, args.N, args.Q), args, out)
-    elif args.command == "sensitivity":
-        _emit(
-            _record_sensitivity(args.mode, N=args.N, k=args.k,
-                                p=args.p, eps=args.eps),
-            args, out,
-        )
-    elif args.command == "simulate":
-        _emit(
-            _record_simulate(args.N, args.p, args.f, args.paths, args.seed,
-                             Q=args.Q, workers=args.workers),
-            args, out,
-        )
-    elif args.command == "sweep":
-        with open(args.sweep_file, encoding="utf-8") as fh:
-            spec = json.load(fh)
-        records = sweep_records(spec)
-        if args.json:
-            _emit(records, args, out)
-        else:
-            _emit_csv(records, out)  # sweeps default to CSV: they feed plots
-
-
 _VALUE_OPTION = re.compile(r"--\w+")
+
+
+def _is_number(s):
+    try:
+        float(s)
+        return True
+    except ValueError:
+        return False
 
 
 def _attach_negative_values(argv):
@@ -406,18 +336,23 @@ def _attach_negative_values(argv):
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(
+    args = build_parser().parse_args(
         _attach_negative_values(sys.argv[1:] if argv is None else argv))
+    build, _, options, _ = COMMANDS[args.command]
+    # sweeps default to CSV: they feed plots
+    as_csv = args.csv or (args.command == "sweep" and not args.json)
     try:
-        _dispatch(args, sys.stdout)
+        records = build(**{option: getattr(args, option) for option in options
+                            if getattr(args, option) is not None})
+        text = _format(records if isinstance(records, list) else [records],
+                       as_csv)
     except clearing.NoInteriorClearing as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_SOLUTION
-    except (ValueError, KeyError, TypeError, OSError,
-            json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, TypeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
+    sys.stdout.write(text)
     return 0
 
 

@@ -92,27 +92,34 @@ def _exact_product(count, x):
     return count * hi, count * (x - hi)
 
 
+def _log_pmf_anchor(n, p, m):
+    """log pmf at ``m`` in O(min(m, n - m)) numpy work.
+
+    ``log C(n, m)`` is the sum of log((n - r + i) / i) over i = 1..r with
+    r = min(m, n - m), rounded once together with the two power terms,
+    each split exactly.
+    """
+    r = min(m, n - m)
+    i = np.arange(1.0, r + 1.0)
+    parts = np.empty(r + 4)
+    np.log((n - r + i) / i, out=parts[:r])
+    parts[r], parts[r + 1] = _exact_product(m, math.log(p))
+    parts[r + 2], parts[r + 3] = _exact_product(n - m, math.log1p(-p))
+    # memoryview iterates as Python floats without building an O(N) list
+    return math.fsum(memoryview(parts))
+
+
 def _log_pmf_terms_bulk(n, p, k_max):
     """log pmf for k = 0..k_max as an ndarray, in O(k_max) numpy work.
 
     One anchor term at ``m = min(k_max, mode)``, the largest of the terms
-    wanted, has ``log C(n, m)`` as an exactly rounded sum of logs; every
-    other term adds up the log pmf ratios outward from it, so rounding
-    grows with the distance from the anchor, not with n.
+    wanted, comes from :func:`_log_pmf_anchor`; every other term adds up
+    the log pmf ratios outward from it, so rounding grows with the
+    distance from the anchor, not with n.
     """
-    log_p, log_1mp = math.log(p), math.log1p(-p)
     m = min(k_max, math.floor((n + 1) * p))
-    r = min(m, n - m)
+    anchor = _log_pmf_anchor(n, p, m)
     j = np.arange(1.0, k_max + 1.0)
-    # log C(n, m) is the sum of log((n - r + i) / i) over i = 1..r with
-    # r = min(m, n - m), rounded once together with the two power terms,
-    # each split exactly
-    parts = np.empty(r + 4)
-    np.log((n - r + j[:r]) / j[:r], out=parts[:r])
-    parts[r], parts[r + 1] = _exact_product(m, log_p)
-    parts[r + 2], parts[r + 3] = _exact_product(n - m, log_1mp)
-    # memoryview iterates as Python floats without building an O(N) list
-    anchor = math.fsum(memoryview(parts))
     # step[j - 1] = log(pmf(j) / pmf(j - 1)) = log((n - j + 1) p / (j (1 - p)))
     step = (n + 1.0 - j) * (p / (1.0 - p)) / j
     np.log(step, out=step)
@@ -130,11 +137,18 @@ def _log_pmf_terms_bulk(n, p, k_max):
 
 
 def binomial_pmf(spec, k):
-    """P(exactly k up-steps) = C(N,k) p^k (1-p)^(N-k)."""
+    """P(exactly k up-steps) = C(N,k) p^k (1-p)^(N-k).
+
+    Horizons of up to :data:`LOOP_MAX_STEPS` steps take C(N,k) as an exact
+    big integer; longer ones its log as in :func:`_log_pmf_anchor`, in
+    O(min(k, N - k)) time.
+    """
     n, p = spec.steps, spec.bias
     if int(k) != k or not 0 <= k <= n:
         raise ValueError(f"k must be an integer in [0, {n}], got {k!r}")
     k = int(k)
+    if n > LOOP_MAX_STEPS:
+        return math.exp(_log_pmf_anchor(n, p, k))
     log_pmf = (
         math.log(math.comb(n, k)) + k * math.log(p) + (n - k) * math.log1p(-p)
     )

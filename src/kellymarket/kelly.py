@@ -76,10 +76,21 @@ def optimal_fraction(q, p):
     return -((1.0 - q) - (1.0 - p) * q / p)
 
 
+def _power(odds, a):
+    """``odds ** a``, or inf where that overflows a double.  The direct
+    power is kept where it fits, so those results stay bit for bit."""
+    try:
+        return odds ** a
+    except OverflowError:
+        return math.inf
+
+
 def log_utility_alpha(q, p, f, alpha):
     """Log utility of a long fraction when the winning payout multiplier
     is ``((1-p)/p) ** alpha``; alpha = 1 recovers :func:`log_utility` on
-    f >= 0."""
+    f >= 0.  A payout beyond the float range is handled through its log,
+    so the utility stays finite; an alpha so large that even that log
+    overflows is a ``ValueError`` naming alpha."""
     q = check_probability(q, "q")
     p = check_probability(p, "p", open_interval=True)
     f = check_fraction(f, "f", lo=0.0)
@@ -89,7 +100,20 @@ def log_utility_alpha(q, p, f, alpha):
     if f == 1.0 and q < 1.0:
         raise ValueError("f = 1 has log(0) loss branch unless q = 1")
     loss_term = 0.0 if q == 1.0 else (1.0 - q) * math.log1p(-f)
-    return loss_term + q * math.log1p(f * ((1.0 - p) / p) ** a)
+    payout = _power((1.0 - p) / p, a)
+    if math.isfinite(payout):
+        return loss_term + q * math.log1p(f * payout)
+    if f == 0.0:
+        return loss_term
+    # log(1 + e^t) with t = log(f) + a log((1-p)/p), the payout's log
+    t = math.log(f) + a * (math.log1p(-p) - math.log(p))
+    if not math.isfinite(t):
+        raise ValueError(
+            f"alpha = {alpha!r} puts the log payout out of floating-point "
+            f"range at p = {p!r}"
+        )
+    gain = t + math.log1p(math.exp(-t)) if t > 0.0 else math.log1p(math.exp(t))
+    return loss_term + q * gain
 
 
 def optimal_fraction_alpha(q, p, alpha):
@@ -101,13 +125,14 @@ def optimal_fraction_alpha(q, p, alpha):
     ``q - (1-q) (p/(1-p))^alpha``, clamped at 0 when the edge is gone.
     alpha = 1 reproduces :func:`optimal_fraction` for q >= p.  Only the
     long side is defined; no short-side contract exists for alpha != 1.
+    Where ``(p/(1-p))^alpha`` overflows the fraction is 0, or 1 at q = 1.
     """
     q = check_probability(q, "q")
     p = check_probability(p, "p", open_interval=True)
     a = float(alpha)
     if not (math.isfinite(a) and a >= 0.0):
         raise ValueError(f"alpha must be >= 0, got {alpha!r}")
-    f = q - (1.0 - q) * (p / (1.0 - p)) ** a
+    f = 1.0 if q == 1.0 else q - (1.0 - q) * _power(p / (1.0 - p), a)
     return max(f, 0.0)
 
 

@@ -132,6 +132,15 @@ def mpmath_log_binomial_cdf(n, p, k):
         return float(mpmath.log(total))
 
 
+def mpmath_log_binomial_pmf(n, p, k):
+    """log P(exactly k up-steps) in 50-digit arithmetic, p taken at its
+    exact binary value."""
+    with mpmath.workdps(50):
+        P = mpmath.mpf(p)
+        return float(mpmath.log(mpmath.binomial(n, k))
+                     + k * mpmath.log(P) + (n - k) * mpmath.log(1 - P))
+
+
 def central_difference(func, x, h):
     """Symmetric first derivative estimate."""
     return (func(x + h) - func(x - h)) / (2.0 * h)

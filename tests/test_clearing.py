@@ -174,6 +174,25 @@ class TestClearingPrice:
             assert math.fsum(result.exposures) == result.residual
             assert result.gap == result.mean_belief - result.price
 
+    def test_default_tolerance_scales_with_capital(self):
+        # 200 investors with $10^6 and up: the residual's rounding is ~1e-8
+        # dollars, so a fixed $1e-9 default refused almost all of them
+        rng = np.random.default_rng(5)
+        refused_at_a_dollar_tolerance = 0
+        for _ in range(50):
+            capitals = 1e6 * (1.0 + rng.pareto(1.5, 200))
+            market = pop(*zip(capitals.tolist(), rng.uniform(0, 1, 200).tolist()))
+            result = clearing_price(market)
+            assert abs(result.residual) <= 1e-9 * market.total_capital
+            in_millions = clearing_price(market.scaled(1e-6))
+            assert result.price == pytest.approx(in_millions.price, abs=1e-12)
+            try:
+                clearing_price(market, 1e-9)  # an explicit tol is in dollars
+            except ValueError as exc:
+                assert "exceeds tolerance 1e-09" in str(exc)
+                refused_at_a_dollar_tolerance += 1
+        assert refused_at_a_dollar_tolerance > 25
+
     def test_extreme_beliefs_with_imbalance(self):
         # all-or-nothing beliefs: one-sided demand is price-independent, so
         # the tiniest capital imbalance admits no interior clearing price,

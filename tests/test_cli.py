@@ -1,14 +1,16 @@
 import contextlib
+import csv
 import io
 import json
 import math
 import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kellymarket.cli import main, sweep_records
+from kellymarket.cli import SWEEP_MAX_POINTS, main, sweep_records
 
 GOLDEN_SIMULATE = (
     '{"N": 10, "p": 0.6, "f": 0.2, "Q": 0, "paths": 2000, "seed": 42, '
@@ -428,3 +430,235 @@ class TestDeterminism:
         _, first = invoke(capsys, *args)
         _, second = invoke(capsys, *args)
         assert first == second
+
+
+def write_sweep(path, spec):
+    path.write_text(spec if isinstance(spec, str) else json.dumps(spec),
+                    encoding="utf-8")
+    return str(path)
+
+
+class TestSweepFileChecks:
+    @pytest.mark.parametrize("text, detail", [
+        ('{"command": "growth", "variable": "f", "range": [0, Infinity, 0.1],'
+         ' "fixed": {"p": 0.6}}', r"bad range .*inf"),
+        ('{"command": "growth", "variable": "f", "range": [0, NaN, 0.1],'
+         ' "fixed": {"p": 0.6}}', r"bad range .*nan"),
+        ('{"command": "growth", "variable": "f", "range": [0, 1e300, 1e-300],'
+         ' "fixed": {"p": 0.6}}', r"range .* spans more than 10000 points"),
+        ('{"command": "growth", "variable": "f", "range": [0, 1e9, 1],'
+         ' "fixed": {"p": 0.6}}', r"range .* spans more than 10000 points"),
+        ('{"command": "growth", "variable": "f", "range": [0, 1],'
+         ' "fixed": {"p": 0.6}}', r"range must be \[start, stop, step\]"),
+        ('{"command": "growth", "variable": "f", "range": "0:1:0.1",'
+         ' "fixed": {"p": 0.6}}', r"range must be \[start, stop, step\]"),
+        ('{"variable": "f", "range": [0, 0.5, 0.1], "fixed": {"p": 0.6}}',
+         r"no 'command' field"),
+        ('{"command": "growth", "range": [0, 0.5, 0.1]}', r"no 'variable' field"),
+        ('{"command": "growth", "variable": "f"}', r"no 'range' field"),
+        ('[{"command": "growth"}]', r"expected a JSON object, got list"),
+        ('{"command": "growth", "variable": "x", "range": [0, 0.5, 0.1],'
+         ' "fixed": {"p": 0.6}}', r"variable 'x' is not a parameter of growth"),
+        ('{"command": "growth", "variable": "f", "range": [0, 0.5, 0.1],'
+         ' "fixed": {"p": 0.6, "z": 1}}', r"fixed 'z' is not a parameter"),
+        ('{"command": "growth", "variable": "f", "range": [0, 0.5, 0.1],'
+         ' "fixed": [["p", 0.6]]}', r"fixed must be a JSON object"),
+        ('{"command": ["growth"], "variable": "f", "range": [0, 0.5, 0.1]}',
+         r"unknown sweep command \['growth'\]"),
+        ('{"command": "simulate", "variable": "f", "range": [0, 0.5, 0.1]}',
+         r"unknown sweep command 'simulate'"),
+        ('{"command": ', r"Expecting value"),
+    ])
+    def test_exit_2_naming_the_file_and_field(self, tmp_path, capsys, text,
+                                              detail):
+        path = write_sweep(tmp_path / "sweep.json", text)
+        code = main(["sweep", path])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err.startswith(f"error: {path}: ")
+        assert re.search(detail, captured.err)
+
+    def test_grid_cap(self, tmp_path, capsys):
+        spec = {"command": "kq", "variable": "Q", "fixed": {"f": 0.5, "N": 10},
+                "range": [0, SWEEP_MAX_POINTS - 1, 1]}
+        code = main(["sweep", write_sweep(tmp_path / "full.json", spec)])
+        assert code == 0
+        assert len(capsys.readouterr().out.splitlines()) == SWEEP_MAX_POINTS + 1
+        spec["range"] = [0, SWEEP_MAX_POINTS, 1]
+        code = main(["sweep", write_sweep(tmp_path / "over.json", spec)])
+        assert code == 2
+        assert "spans more than" in capsys.readouterr().err
+
+    def test_errors_at_a_grid_point_keep_their_message(self, tmp_path, capsys):
+        path = write_sweep(tmp_path / "sweep.json", {
+            "command": "growth", "variable": "p", "range": [0.5, 1.5, 0.25],
+            "fixed": {"f": 0.2}})
+        assert main(["sweep", path]) == 2
+        assert capsys.readouterr().err == \
+            "error: p must lie in [0, 1], got 1.25\n"
+
+
+class TestOutputPolicy:
+    def test_non_finite_value_exits_2_naming_the_field(self, capsys):
+        # log(1/p) is finite, but (1-p)/p overflows at a subnormal price
+        for fmt in ([], ["--csv"]):
+            code = main([*fmt, "fraction", "--q", "1", "--p", "1e-320"])
+            captured = capsys.readouterr()
+            assert (code, captured.out) == (2, "")
+            assert captured.err == "error: utility_at_fraction is not finite: inf\n"
+
+    def test_strings_stay_quoted(self, tmp_path, capsys):
+        path = write_sweep(tmp_path / "sweep.json", {
+            "command": "fraction", "variable": "q", "range": [0.6, 0.7, 0.1],
+            "fixed": {"p": "0.5"}})
+        assert main(["--json", "sweep", path]) == 0
+        records = strict_json_lines(capsys.readouterr().out)
+        assert [r["p"] for r in records] == ["0.5", "0.5"]
+
+    def test_power_payout_beyond_the_float_range(self, capsys):
+        code, out = invoke(capsys, "fraction", "--q", "0.9", "--p", "0.01",
+                           "--alpha", "200")
+        assert code == 0
+        (record,) = strict_json_lines(out)
+        assert record["fraction"] == 0.9
+        assert record["utility_at_fraction"] == pytest.approx(826.796490050835)
+        code, out = invoke(capsys, "fraction", "--q", "0.9", "--p", "0.99",
+                           "--alpha", "400")
+        assert code == 0
+        assert strict_json_lines(out)[0]["fraction"] == 0
+
+    def test_alpha_beyond_the_log_range_exits_2_naming_alpha(self, capsys):
+        code = main(["fraction", "--q", "0.9", "--p", "0.01", "--alpha", "1e308"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert re.search(r"^error: alpha\b", captured.err)
+
+    def test_clear_default_tolerance_on_a_large_market(self, tmp_path, capsys):
+        rng = np.random.default_rng(5)
+        rows = "".join(f"{1e6 * (1.0 + c)!r},{q!r}\n" for c, q in zip(
+            rng.pareto(1.5, 200).tolist(), rng.uniform(0, 1, 200).tolist()))
+        path = tmp_path / "pop.csv"
+        path.write_text("capital,belief\n" + rows, encoding="utf-8")
+        code, out = invoke(capsys, "clear", str(path))
+        assert code == 0
+        assert len(strict_json_lines(out)[0]["exposures"]) == 200
+        assert main(["clear", str(path), "--tol", "1e-9"]) == 2
+
+
+# -- every subcommand, hypothesis-drawn: valid output or an error line ------
+
+ANY_FLOAT = st.floats(allow_nan=True, allow_infinity=True)
+UNIT = st.one_of(st.floats(0.0, 1.0), st.sampled_from(
+    [0.0, 1.0, 5e-324, 1e-320, 1.0 - 2.0 ** -53]), ANY_FLOAT)
+FORMAT = st.sampled_from([(), ("--json",), ("--csv",)])
+
+
+def check_outcome(argv, fmt):
+    """Run the CLI; it must exit 0 with strict JSON lines (or, for --csv and
+    sweeps without --json, a rectangular CSV of finite numbers), or exit 2
+    or 3 with an ``error:`` line and nothing on stdout."""
+    code, out, err = run_cli(*fmt, *argv)
+    if code != 0:
+        assert code in (2, 3) and out == ""
+        assert re.fullmatch(r"error: .+\n", err)
+        return
+    assert err == ""
+    if "--csv" in fmt or (argv[0] == "sweep" and "--json" not in fmt):
+        rows = list(csv.reader(io.StringIO(out)))
+        assert len(rows) >= 2 and len({len(row) for row in rows}) == 1
+        for cell in (cell for row in rows[1:] for cell in row):
+            for part in cell.split(";"):
+                with contextlib.suppress(ValueError):
+                    assert math.isfinite(float(part))
+    else:
+        assert all(isinstance(r, dict) for r in strict_json_lines(out))
+
+
+def opt(name, value):
+    return (f"--{name}", repr(value) if isinstance(value, float) else str(value))
+
+
+class TestEveryCommandPrintsValidOutput:
+    @given(q=UNIT, p=UNIT, alpha=st.one_of(
+        st.none(), st.floats(0.0, 1e3), st.floats(0.0, 1e308), ANY_FLOAT),
+        fmt=FORMAT)
+    @settings(max_examples=300, deadline=None)
+    def test_fraction(self, q, p, alpha, fmt):
+        argv = ["fraction", *opt("q", q), *opt("p", p)]
+        if alpha is not None:
+            argv += opt("alpha", alpha)
+        check_outcome(argv, fmt)
+
+    @given(n=st.integers(1, 3000), p=UNIT, k=st.integers(-2, 3100), fmt=FORMAT)
+    @settings(max_examples=100, deadline=None)
+    def test_bounds(self, n, p, k, fmt):
+        check_outcome(["bounds", *opt("N", n), *opt("p", p), *opt("k", k)], fmt)
+
+    @given(mode=st.sampled_from(["bias", "fraction"]), n=st.integers(1, 500),
+           k=st.integers(-1, 501), p=UNIT, eps=ANY_FLOAT, fmt=FORMAT)
+    @settings(max_examples=150, deadline=None)
+    def test_sensitivity(self, mode, n, k, p, eps, fmt):
+        argv = ["sensitivity", "--mode", mode, *opt("p", p), *opt("eps", eps)]
+        if mode == "bias":
+            argv += [*opt("N", n), *opt("k", k)]
+        check_outcome(argv, fmt)
+
+    @given(capitals=st.lists(st.floats(1e-3, 1e9), min_size=1, max_size=40),
+           data=st.data(), fmt=FORMAT)
+    @settings(max_examples=60, deadline=None)
+    def test_clear(self, tmp_path_factory, capitals, data, fmt):
+        beliefs = data.draw(st.lists(
+            st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 1.0])),
+            min_size=len(capitals), max_size=len(capitals)))
+        path = tmp_path_factory.mktemp("clear") / "pop.csv"
+        path.write_text("capital,belief\n" + "".join(
+            f"{c!r},{q!r}\n" for c, q in zip(capitals, beliefs)))
+        check_outcome(["clear", str(path)], fmt)
+
+    SWEEP_FIXED = {
+        "fraction": {"q": 0.7, "p": 0.5, "alpha": 1.0},
+        "bounds": {"N": 50, "p": 0.6, "k": 20},
+        "kq": {"f": 0.3, "N": 20, "Q": 0.5},
+        "growth": {"p": 0.6, "f": 0.2},
+        "sensitivity": {"mode": "bias", "N": 20, "k": 5, "p": 0.6, "eps": 0.01},
+    }
+
+    @given(command=st.sampled_from(sorted(SWEEP_FIXED)), data=st.data(),
+           start=st.floats(-2.0, 60.0), step=st.floats(1e-3, 10.0),
+           points=st.integers(0, 40),
+           odd_range=st.sampled_from([None, [0, math.inf, 0.1], [0, math.nan, 1],
+                                      [0, 1e300, 1e-300], [0, 1e9, 1], [1, 0, 1],
+                                      [0, 1, 0], [0, 1, -1], [0, 1]]),
+           fmt=FORMAT)
+    @settings(max_examples=200, deadline=None)
+    def test_sweep(self, tmp_path_factory, command, data, start, step, points,
+                   odd_range, fmt):
+        fixed = dict(self.SWEEP_FIXED[command])
+        if command == "sensitivity":
+            fixed["mode"] = data.draw(st.sampled_from(["bias", "fraction"]))
+        variable = data.draw(st.sampled_from([*fixed, "x"]))
+        if data.draw(st.booleans()):
+            fixed.pop(data.draw(st.sampled_from(sorted(fixed))))
+        bounds = odd_range or [start, start + points * step, step]
+        spec = {"command": command, "variable": variable, "range": bounds,
+                "fixed": fixed}
+        path = tmp_path_factory.mktemp("sweep") / "sweep.json"
+        path.write_text(json.dumps(spec))  # inf, nan as Infinity, NaN
+        check_outcome(["sweep", str(path)], fmt)
+
+    @given(n=st.integers(1, 60), p=UNIT, f=st.floats(0.0, 0.999),
+           q=st.one_of(st.none(), ANY_FLOAT), paths=st.integers(1, 40),
+           seed=st.integers(0, 2 ** 64 - 1), fmt=FORMAT)
+    @settings(max_examples=40, deadline=None)
+    def test_simulate(self, n, p, f, q, paths, seed, fmt):
+        argv = ["simulate", *opt("N", n), *opt("p", p), *opt("f", f),
+                *opt("paths", paths), *opt("seed", seed)]
+        if q is not None:
+            argv += opt("Q", q)
+        check_outcome(argv, fmt)
+
+    @given(f=st.floats(0.0, 1.0), n=st.integers(1, 10 ** 6), q=ANY_FLOAT,
+           fmt=FORMAT)
+    @settings(max_examples=100, deadline=None)
+    def test_kq(self, f, n, q, fmt):
+        check_outcome(["kq", *opt("f", f), *opt("N", n), *opt("Q", q)], fmt)

@@ -30,6 +30,7 @@ from oracles import (
     even_odds_argmax,
     exact_binomial_cdf,
     mpmath_log_binomial_cdf,
+    mpmath_log_binomial_pmf,
 )
 
 
@@ -440,3 +441,43 @@ class TestLogCdfAgainstOracles:
             elapsed = time.perf_counter() - start
             assert math.isfinite(log_f)
             assert elapsed < 0.15
+
+
+class TestPmfAgainstOracles:
+    def test_bit_identical_to_the_big_integer_expression_up_to_the_crossover(self):
+        for n in range(1, LOOP_MAX_STEPS + 1):
+            for p in (1e-9, 0.05, 0.5, 0.6, 1.0 - 1e-9):
+                for k in range(n + 1):
+                    assert binomial_pmf(WalkSpec(n, p), k) == math.exp(
+                        math.log(math.comb(n, k)) + k * math.log(p)
+                        + (n - k) * math.log1p(-p)), (n, p, k)
+
+    @pytest.mark.parametrize("n", GRID_N)
+    def test_matches_mpmath(self, n):
+        misses = []
+        for p in GRID_P:
+            mode = math.floor((n + 1) * p)
+            for k in {*grid_k(n, p), min(mode, n), n}:
+                ref = mpmath_log_binomial_pmf(n, p, k)
+                got = binomial_pmf(WalkSpec(n, p), k)
+                if ref < -746.0:  # below the smallest subnormal
+                    ok = got == 0.0
+                elif ref < -700.0:  # subnormal or near it: relative error grows
+                    ok = got == pytest.approx(math.exp(ref), rel=1e-6)
+                else:
+                    ok = abs(math.log(got) - ref) <= \
+                        LOG_CDF_TOL + 4.0 * math.ulp(ref)
+                if not ok:
+                    misses.append((p, k, got, ref))
+        assert misses == []
+
+    def test_hundred_thousand_steps_within_budget(self):
+        # about 2 ms on a 2-core x86 box; log(comb(n, k)) on the big
+        # integer took 150-210 ms
+        spec = WalkSpec(100_000, 0.6)
+        for k in (59_000, 60_000):
+            start = time.perf_counter()
+            value = binomial_pmf(spec, k)
+            elapsed = time.perf_counter() - start
+            assert value > 0.0
+            assert elapsed < 0.05

@@ -188,6 +188,58 @@ class TestOptimalFractionAlpha:
         assert abs(deriv) < 1e-8
 
 
+def mpmath_alpha(q, p, alpha, f=None):
+    """The power-payout fraction (clamped to [0, 1]) and its utility in
+    50-digit arithmetic, inputs taken at their exact binary values."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(50):
+        q, p, alpha = mp.mpf(q), mp.mpf(p), mp.mpf(alpha)
+        if f is None:
+            f = min(max(q - (1 - q) * (p / (1 - p)) ** alpha, 0), 1)
+        f = mp.mpf(f)
+        loss = 0 if q == 1 else (1 - q) * mp.log(1 - f)
+        return float(f), float(loss + q * mp.log(1 + f * ((1 - p) / p) ** alpha))
+
+
+class TestPowerPayoutOverflow:
+    """((1-p)/p)^alpha beyond the float range: p < 1/2 makes the payout
+    huge, p > 1/2 makes the fraction's odds power huge."""
+
+    @pytest.mark.parametrize("q,p,alpha", [
+        (0.9, 0.01, 200.0), (1.0, 0.01, 200.0), (0.5, 1e-3, 150.0),
+        (0.9, 0.99, 400.0), (1.0, 0.99, 400.0), (0.3, 0.999, 1e4),
+    ])
+    def test_matches_mpmath(self, q, p, alpha):
+        f, utility = mpmath_alpha(q, p, alpha)
+        assert optimal_fraction_alpha(q, p, alpha) == f
+        assert log_utility_alpha(q, p, f, alpha) == pytest.approx(
+            utility, rel=1e-14, abs=1e-300)
+
+    @pytest.mark.parametrize("f", [1e-3, 0.5, 1.0])
+    def test_subnormal_price(self, f):
+        # (1-p)/p itself overflows; the log of the payout does not
+        q, p, alpha = 1.0, 1e-320, 0.01
+        assert log_utility_alpha(q, p, f, alpha) == pytest.approx(
+            mpmath_alpha(q, p, alpha, f)[1], rel=1e-14)
+
+    def test_alpha_beyond_even_the_log_exits_naming_alpha(self):
+        with pytest.raises(ValueError, match="alpha"):
+            log_utility_alpha(0.9, 0.01, 0.9, 1e308)
+
+    def test_representable_payouts_keep_their_bits(self):
+        for q in (0.0, 0.3, 0.9, 1.0):
+            for p in (0.01, 0.3, 0.5, 0.8, 0.99):
+                for alpha in (0.0, 0.25, 1.0, 3.0, 100.0):
+                    f = optimal_fraction_alpha(q, p, alpha)
+                    assert f == max(q - (1.0 - q) * (p / (1.0 - p)) ** alpha,
+                                    0.0)
+                    if f == 1.0 and q < 1.0:
+                        continue
+                    loss = 0.0 if q == 1.0 else (1.0 - q) * math.log1p(-f)
+                    assert log_utility_alpha(q, p, f, alpha) == \
+                        loss + q * math.log1p(f * ((1.0 - p) / p) ** alpha)
+
+
 class TestEvenOddsGrowthRate:
     def test_no_bet(self):
         assert even_odds_growth_rate(0.5, 0.0) == 0.0
