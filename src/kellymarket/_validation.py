@@ -20,9 +20,7 @@ def check_probability(value, name="probability", open_interval=False):
     With ``open_interval=True`` the endpoints 0 and 1 are rejected
     (required wherever odds value/(1-value) are formed).
     """
-    x = float(value)
-    if not math.isfinite(x):
-        raise ValueError(f"{name} must be finite, got {value!r}")
+    x = check_finite(value, name)
     if open_interval:
         if not 0.0 < x < 1.0:
             raise ValueError(f"{name} must lie strictly inside (0, 1), got {x}")
@@ -34,9 +32,7 @@ def check_probability(value, name="probability", open_interval=False):
 def check_fraction(value, name="fraction", lo=-1.0, hi=1.0,
                    open_lo=False, open_hi=False):
     """Validate a bet fraction (fraction of capital, signed)."""
-    x = float(value)
-    if not math.isfinite(x):
-        raise ValueError(f"{name} must be finite, got {value!r}")
+    x = check_finite(value, name)
     if x < lo or (open_lo and x == lo):
         raise ValueError(f"{name} must be {'>' if open_lo else '>='} {lo}, got {x}")
     if x > hi or (open_hi and x == hi):

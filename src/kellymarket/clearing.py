@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._validation import check_positive, check_probability
-from .kelly import optimal_fraction
+from .kelly import _kelly_fraction, optimal_fraction
 
 __all__ = [
     "Investor",
@@ -110,24 +110,23 @@ def signed_exposure(inv, p):
     return inv.capital * optimal_fraction(inv.belief, p)
 
 
-def _exposures(capitals, beliefs, p):
-    """Signed exposure at price ``p`` of each (capital, belief) pair.
-
-    The fraction is formed before the capital multiplies it, so beliefs of
-    exactly 0 and 1 give exactly -capital and +capital.
-    """
-    return capitals * ((beliefs - p) / np.where(beliefs >= p, 1.0 - p, p))
+def _aggregate(capitals, beliefs, p):
+    return math.fsum((capitals * _kelly_fraction(beliefs, p, np.where)).tolist())
 
 
 def aggregate_exposure(pop, p):
     """Sum of signed exposures over the population at price ``p``."""
     p = check_probability(p, "p", open_interval=True)
-    return math.fsum(_exposures(pop.capitals, pop.beliefs, p).tolist())
+    return _aggregate(pop.capitals, pop.beliefs, p)
+
+
+def _mean_belief(capitals, beliefs):
+    return math.fsum((capitals * beliefs).tolist()) / math.fsum(capitals.tolist())
 
 
 def mean_belief(pop):
     """Capital-weighted average belief, in [0, 1]."""
-    return math.fsum((pop.capitals * pop.beliefs).tolist()) / pop.total_capital
+    return _mean_belief(pop.capitals, pop.beliefs)
 
 
 def _clearing_root(capitals, beliefs):
@@ -142,7 +141,7 @@ def _clearing_root(capitals, beliefs):
     """
     order = np.argsort(beliefs)
     q, c = beliefs[order], capitals[order]
-    if _exposures(c, q, 0.5).sum() > 0.0:
+    if (c * _kelly_fraction(q, 0.5, np.where)).sum() > 0.0:
         return 1.0 - _segment_root(c[::-1], 1.0 - q[::-1])
     return _segment_root(c, q)
 
@@ -206,12 +205,16 @@ def clearing_price(pop, tol=None):
     of the market's total capital, is a ``ValueError``.  A population with
     one shared interior belief clears trivially at that belief with zero
     volume.  Raises :class:`NoInteriorClearing` when exposure has the same
-    sign across the whole interior bracket.
+    sign across the whole interior bracket.  Capitals may span the float range.
     """
+    # Solve in units of 2^(e - 1) dollars, which put the largest capital in
+    # [1, 2): exact, so no result's bits move, and nothing over/underflows.
+    e = math.frexp(pop.capitals.max())[1]
+    unit = math.ldexp(1.0, e - 1)
+    capitals, beliefs = np.ldexp(pop.capitals, 1 - e), pop.beliefs
     # the residual's rounding grows with the capital, so the default does
-    tol = (1e-9 * pop.total_capital if tol is None
-           else check_positive(tol, "tol"))
-    beliefs = pop.beliefs
+    tol = (1e-9 * math.fsum(capitals.tolist()) if tol is None
+           else check_positive(tol, "tol") / unit)
     if beliefs.min() == beliefs.max():
         q = float(beliefs[0])
         if not 0.0 < q < 1.0:
@@ -223,8 +226,8 @@ def clearing_price(pop, tol=None):
                               gap=0.0, residual=0.0)
 
     lo, hi = _PRICE_LO, _PRICE_HI
-    g_lo = aggregate_exposure(pop, lo)
-    g_hi = aggregate_exposure(pop, hi)
+    g_lo = _aggregate(capitals, beliefs, lo)
+    g_hi = _aggregate(capitals, beliefs, hi)
     if g_lo == 0.0:
         price = lo
     elif g_hi == 0.0:
@@ -233,21 +236,22 @@ def clearing_price(pop, tol=None):
         # exposure is non-increasing, so same-signed ends mean no root
         raise NoInteriorClearing(
             f"aggregate exposure does not change sign on ({lo:g}, {hi:g}): "
-            f"{g_lo:.6g} at the lower end, {g_hi:.6g} at the upper end"
+            f"{g_lo * unit:.6g} at the lower end, "
+            f"{g_hi * unit:.6g} at the upper end"
         )
     else:
-        price = _clearing_root(pop.capitals, pop.beliefs)
+        price = _clearing_root(capitals, beliefs)
 
-    exposures = _exposures(pop.capitals, pop.beliefs, price).tolist()
-    residual = math.fsum(exposures)
+    exposures = capitals * _kelly_fraction(beliefs, price, np.where)
+    residual = math.fsum(exposures.tolist())
     if abs(residual) > tol:
         raise ValueError(
-            f"clearing residual {residual:.3g} exceeds tolerance "
-            f"{tol:.3g} at price {price:.12g}"
+            f"clearing residual {residual * unit:.3g} exceeds tolerance "
+            f"{tol * unit:.3g} at price {price:.12g}"
         )
-    mb = mean_belief(pop)
-    return ClearingResult(price=price, exposures=tuple(exposures),
-                          mean_belief=mb, gap=mb - price, residual=residual)
+    mb = _mean_belief(capitals, beliefs)
+    return ClearingResult(price, tuple((exposures * unit).tolist()), mb,
+                          gap=mb - price, residual=residual * unit)
 
 
 def confident_no_capital(q, p):

@@ -136,6 +136,12 @@ def _log_pmf_terms_bulk(n, p, k_max):
     return out
 
 
+def _check_count(spec, k):
+    if int(k) != k or not 0 <= k <= spec.steps:
+        raise ValueError(f"k must be an integer in [0, {spec.steps}], got {k!r}")
+    return int(k)
+
+
 def binomial_pmf(spec, k):
     """P(exactly k up-steps) = C(N,k) p^k (1-p)^(N-k).
 
@@ -143,16 +149,10 @@ def binomial_pmf(spec, k):
     big integer; longer ones its log as in :func:`_log_pmf_anchor`, in
     O(min(k, N - k)) time.
     """
-    n, p = spec.steps, spec.bias
-    if int(k) != k or not 0 <= k <= n:
-        raise ValueError(f"k must be an integer in [0, {n}], got {k!r}")
-    k = int(k)
+    n, p, k = spec.steps, spec.bias, _check_count(spec, k)
     if n > LOOP_MAX_STEPS:
         return math.exp(_log_pmf_anchor(n, p, k))
-    log_pmf = (
-        math.log(math.comb(n, k)) + k * math.log(p) + (n - k) * math.log1p(-p)
-    )
-    return math.exp(log_pmf)
+    return math.exp(_log_pmf_terms_loop(n, p, k)[k])
 
 
 def log_binomial_cdf(spec, k):
@@ -190,7 +190,9 @@ def kl_divergence(a, p):
     p = check_probability(p, "p", open_interval=True)
     d = 0.0
     if a > 0.0:
-        d += a * math.log(a / p)
+        ratio = a / p  # overflows only at a subnormal p
+        d += a * (math.log(ratio) if ratio < math.inf
+                  else math.log(a) - math.log(p))
     if a < 1.0:
         d += (1.0 - a) * math.log((1.0 - a) / (1.0 - p))
     return d
@@ -219,9 +221,8 @@ def chernoff_upper(spec, k):
 def chernoff_lower(spec, k):
     """Matching lower bound ``exp(-N D(k/N || p)) / sqrt(2N)``, enforced
     on 1 <= k <= N p."""
-    k = _check_lower_tail(spec, k, k_min=1)
-    n = spec.steps
-    return math.exp(-n * kl_divergence(k / n, spec.bias)) / math.sqrt(2.0 * n)
+    _check_lower_tail(spec, k, k_min=1)
+    return chernoff_upper(spec, k) / math.sqrt(2.0 * spec.steps)
 
 
 def rate_per_step(spec, k):
@@ -275,15 +276,16 @@ def sensitivity_bias(k, spec, eps):
     ``D(k/N || p+eps) - D(k/N || p)`` and the linear term is
     ``(p - k/N) / (p (1-p)) * eps``.
     """
-    n, p = spec.steps, spec.bias
-    if int(k) != k or not 0 <= k <= n:
-        raise ValueError(f"k must be an integer in [0, {n}], got {k!r}")
+    n, p, k = spec.steps, spec.bias, _check_count(spec, k)
     eps = float(eps)
     if not 0.0 < p + eps < 1.0:
         raise ValueError(f"p + eps must stay inside (0, 1), got {p + eps}")
     a = k / n
     exact = kl_divergence(a, p + eps) - kl_divergence(a, p)
-    first_order = (p - a) / (p * (1.0 - p)) * eps
+    slope = (p - a) / (p * (1.0 - p))
+    # the slope overflows at a subnormal p, where eps / p need not
+    first_order = (slope * eps if math.isfinite(slope)
+                   else (p - a) * (eps / p) / (1.0 - p))
     return exact, first_order
 
 
@@ -298,7 +300,7 @@ def sensitivity_fraction(p, eps):
     """
     p = check_probability(p, "p", open_interval=True)
     eps = float(eps)
-    f_star = 2.0 * p - 1.0
+    f_star = kelly_fraction_even_odds(p)
     if not -1.0 < f_star + eps < 1.0:
         raise ValueError(f"2p-1+eps must stay inside (-1, 1), got {f_star + eps}")
     exact = even_odds_growth_rate(p, f_star + eps) - even_odds_growth_rate(p, f_star)

@@ -39,6 +39,30 @@ def odds_to_probability(odds):
     return x / (1.0 + x)
 
 
+def _log_utility(q, p, f, a, win):
+    """``(1-q) log(1-f) + q log(1 + win)`` for a long fraction ``f``; the
+    caller forms ``win = f ((1-p)/p)^a``.  Where that overflows, the gain is
+    taken through the log of the payout (see :func:`log_utility_alpha`)."""
+    # the weight-zero convention 0 log 0 = 0 applies at q = 1; otherwise
+    # f = 1 means certain ruin on the losing branch
+    if f == 1.0 and q < 1.0:
+        raise ValueError("f = 1 has log(0) loss branch unless q = 1")
+    loss_term = 0.0 if q == 1.0 else (1.0 - q) * math.log1p(-f)
+    if math.isfinite(win):
+        return loss_term + q * math.log1p(win)
+    if f == 0.0:
+        return loss_term
+    # log(1 + e^t) with t = log(f) + a log((1-p)/p), the log of ``win``
+    t = math.log(f) + a * (math.log1p(-p) - math.log(p))
+    if not math.isfinite(t):
+        raise ValueError(
+            f"alpha = {a!r} puts the log payout out of floating-point "
+            f"range at p = {p!r}"
+        )
+    gain = t + math.log1p(math.exp(-t)) if t > 0.0 else math.log1p(math.exp(t))
+    return loss_term + q * gain
+
+
 def log_utility(q, p, f):
     """Expected log wealth growth from staking fraction ``f`` at price ``p``
     when the bettor's own probability is ``q``.
@@ -52,28 +76,33 @@ def log_utility(q, p, f):
     f = check_fraction(f, "f")
     if f < 0.0:
         q, p, f = 1.0 - q, 1.0 - p, -f
-    # (1-q) log(1-f): the weight-zero convention 0*log(0) = 0 applies at
-    # q = 1, otherwise f = 1 means certain ruin on the losing branch.
-    if f == 1.0 and q < 1.0:
-        raise ValueError("f = 1 has log(0) loss branch unless q = 1")
-    loss_term = 0.0 if q == 1.0 else (1.0 - q) * math.log1p(-f)
-    gain_term = q * math.log1p(f * (1.0 - p) / p)
-    return loss_term + gain_term
+    return _log_utility(q, p, f, 1.0, f * (1.0 - p) / p)
+
+
+def _kelly_fraction(q, p, where=lambda long, a, b: a if long else b):
+    """:func:`optimal_fraction` without its checks; with ``where=np.where``
+    ``q`` may be an array of beliefs."""
+    return (q - p) / where(q >= p, 1.0 - p, p)
 
 
 def optimal_fraction(q, p):
     """Signed fraction of capital maximizing :func:`log_utility`.
 
-    For q >= p the stationary point of the long-side utility is
-    ``q - p (1-q)/(1-p)``; for q < p the bettor instead goes long the
-    complement at price 1 - p, and the result is the negated long
-    fraction of that mirrored problem.  Zero at q = p.
+    ``(q - p) / (1 - p)`` for q >= p, the stationary point of the long-side
+    utility, and ``(q - p) / p`` below, the negated long fraction on the
+    complement at price 1 - p.  The difference comes first, exact near
+    q = p, so a small edge keeps full precision and q = 1, 0 give +1, -1.
     """
     q = check_probability(q, "q")
     p = check_probability(p, "p", open_interval=True)
-    if q >= p:
-        return q - p * (1.0 - q) / (1.0 - p)
-    return -((1.0 - q) - (1.0 - p) * q / p)
+    return _kelly_fraction(q, p)
+
+
+def _check_alpha(alpha):
+    a = float(alpha)
+    if not (math.isfinite(a) and a >= 0.0):
+        raise ValueError(f"alpha must be >= 0, got {alpha!r}")
+    return a
 
 
 def _power(odds, a):
@@ -94,26 +123,8 @@ def log_utility_alpha(q, p, f, alpha):
     q = check_probability(q, "q")
     p = check_probability(p, "p", open_interval=True)
     f = check_fraction(f, "f", lo=0.0)
-    a = float(alpha)
-    if not (math.isfinite(a) and a >= 0.0):
-        raise ValueError(f"alpha must be >= 0, got {alpha!r}")
-    if f == 1.0 and q < 1.0:
-        raise ValueError("f = 1 has log(0) loss branch unless q = 1")
-    loss_term = 0.0 if q == 1.0 else (1.0 - q) * math.log1p(-f)
-    payout = _power((1.0 - p) / p, a)
-    if math.isfinite(payout):
-        return loss_term + q * math.log1p(f * payout)
-    if f == 0.0:
-        return loss_term
-    # log(1 + e^t) with t = log(f) + a log((1-p)/p), the payout's log
-    t = math.log(f) + a * (math.log1p(-p) - math.log(p))
-    if not math.isfinite(t):
-        raise ValueError(
-            f"alpha = {alpha!r} puts the log payout out of floating-point "
-            f"range at p = {p!r}"
-        )
-    gain = t + math.log1p(math.exp(-t)) if t > 0.0 else math.log1p(math.exp(t))
-    return loss_term + q * gain
+    a = _check_alpha(alpha)
+    return _log_utility(q, p, f, a, f * _power((1.0 - p) / p, a))
 
 
 def optimal_fraction_alpha(q, p, alpha):
@@ -129,9 +140,7 @@ def optimal_fraction_alpha(q, p, alpha):
     """
     q = check_probability(q, "q")
     p = check_probability(p, "p", open_interval=True)
-    a = float(alpha)
-    if not (math.isfinite(a) and a >= 0.0):
-        raise ValueError(f"alpha must be >= 0, got {alpha!r}")
+    a = _check_alpha(alpha)
     f = 1.0 if q == 1.0 else q - (1.0 - q) * _power(p / (1.0 - p), a)
     return max(f, 0.0)
 

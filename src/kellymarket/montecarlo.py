@@ -249,30 +249,27 @@ def _up_steps(config, workers=1):
     ])
 
 
-def _per_step_growth(walk, fraction, up_steps):
-    n = walk.steps
-    if fraction == 0.0:
-        return np.zeros(len(up_steps))
-    log_up = math.log1p(fraction)
-    log_down = math.log1p(-fraction)
-    return (up_steps * log_up + (n - up_steps) * log_down) / n
+def _per_step_growth(config, up_steps):
+    n, f = config.walk.steps, config.fraction
+    return (up_steps * math.log1p(f) + (n - up_steps) * math.log1p(-f)) / n
 
 
-def _result_from_counts(config, up_steps):
+def _std_error(values):
+    """Standard error of the mean of ``values``, one per path; 0 for one."""
+    if len(values) > 1:
+        return float(values.std(ddof=1) / math.sqrt(len(values)))
+    return 0.0
+
+
+def _result(config, up_steps, per_step):
     walk = config.walk
-    per_step = _per_step_growth(walk, config.fraction, up_steps)
-    mean = float(per_step.mean())
-    if config.paths > 1:
-        se = float(per_step.std(ddof=1) / math.sqrt(config.paths))
-    else:
-        se = 0.0
     hit = None
     if config.threshold is not None:
         hit = float(np.mean(per_step * walk.steps <= config.threshold))
     hist = tuple(int(c) for c in np.bincount(up_steps, minlength=walk.steps + 1))
     return SimResult(
-        mean_log_growth_per_step=mean,
-        std_error=se,
+        mean_log_growth_per_step=float(per_step.mean()),
+        std_error=_std_error(per_step),
         threshold_hit_fraction=hit,
         paths=config.paths,
         up_step_histogram=hist,
@@ -281,7 +278,8 @@ def _result_from_counts(config, up_steps):
 
 def run(config, workers=1):
     """Simulate the configured walk and return aggregate growth statistics."""
-    return _result_from_counts(config, _up_steps(config, workers))
+    up_steps = _up_steps(config, workers)
+    return _result(config, up_steps, _per_step_growth(config, up_steps))
 
 
 def compare_strategies(configs, workers=1):
@@ -300,36 +298,24 @@ def compare_strategies(configs, workers=1):
             raise ValueError("configs must share walk, paths, and seed")
 
     up_steps = _up_steps(first, workers)
-    base = _per_step_growth(first.walk, first.fraction, up_steps)
+    per_steps = [_per_step_growth(c, up_steps) for c in configs]
     rows = []
-    for c in configs:
-        per_step = _per_step_growth(c.walk, c.fraction, up_steps)
-        diff = per_step - base
-        if c.paths > 1:
-            se_diff = float(diff.std(ddof=1) / math.sqrt(c.paths))
-        else:
-            se_diff = 0.0
+    for c, per_step in zip(configs, per_steps):
+        diff = per_step - per_steps[0]
         prob_below = None
         if c.threshold is not None and c.fraction > 0.0:
             prob_below = prob_growth_below(c.fraction, c.walk, c.threshold)
         rows.append(
             StrategyComparison(
                 fraction=c.fraction,
-                result=_result_from_counts(c, up_steps),
+                result=_result(c, up_steps, per_step),
                 growth_rate=even_odds_growth_rate(c.walk.bias, c.fraction),
                 prob_below=prob_below,
                 mean_diff_vs_first=float(diff.mean()),
-                se_diff_vs_first=se_diff,
+                se_diff_vs_first=_std_error(diff),
             )
         )
     return rows
-
-
-def _require_threshold(config):
-    if config.threshold is None:
-        raise ValueError("config must carry a threshold")
-    if not 0.0 < config.fraction < 1.0:
-        raise ValueError("threshold validation needs f in (0, 1)")
 
 
 def threshold_validation(config, workers=1):
@@ -339,14 +325,16 @@ def threshold_validation(config, workers=1):
     standard error of the empirical frequency and should stay within a few
     units for a correct engine at 10^4+ paths.
     """
-    _require_threshold(config)
     return threshold_z(config, run(config, workers))
 
 
 def threshold_z(config, result):
     """:func:`threshold_validation` for a ``result`` that :func:`run`
     already returned for ``config``: ``(empirical, exact, z_score)``."""
-    _require_threshold(config)
+    if config.threshold is None:
+        raise ValueError("config must carry a threshold")
+    if not 0.0 < config.fraction < 1.0:
+        raise ValueError("threshold validation needs f in (0, 1)")
     empirical = result.threshold_hit_fraction
     exact = prob_growth_below(config.fraction, config.walk, config.threshold)
     se = math.sqrt(exact * (1.0 - exact) / config.paths)

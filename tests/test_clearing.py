@@ -1,4 +1,5 @@
 import math
+import re
 import time
 
 import numpy as np
@@ -87,6 +88,18 @@ class TestSignedExposure:
     def test_rejects_boundary_price(self):
         with pytest.raises(ValueError):
             signed_exposure(Investor(1.0, 0.5), 0.0)
+
+    def test_matches_a_one_investor_market(self):
+        prices = (1e-9, 0.01, 0.3, 0.5, 0.77, 0.99, 1.0 - 1e-9)
+        for p in prices:
+            for q in (0.0, 1e-9, 0.2, 0.3, 0.5, 0.7, 0.99, 1.0,
+                      p + 1e-12, p - 1e-12, np.nextafter(p, 1.0)):
+                if not 0.0 <= q <= 1.0:
+                    continue
+                for c in (1e-3, 1.0, 7.3, 1e6):
+                    investor = Investor(c, float(q))
+                    assert signed_exposure(investor, p) == aggregate_exposure(
+                        MarketPopulation((investor,)), p), (c, q, p)
 
 
 class TestAggregateExposure:
@@ -192,6 +205,19 @@ class TestClearingPrice:
                 assert "exceeds tolerance 1e-09" in str(exc)
                 refused_at_a_dollar_tolerance += 1
         assert refused_at_a_dollar_tolerance > 25
+
+    def test_error_messages_are_in_dollars(self):
+        # the solve runs in units of a power of two; its messages do not
+        with pytest.raises(NoInteriorClearing, match=(
+                r": -2\.998e\+06 at the lower end, -3e\+06 at the upper end")):
+            clearing_price(pop((1e6, 0.0), (2e6, 1e-12)))
+        rng = np.random.default_rng(5)
+        capitals = 1e6 * (1.0 + rng.pareto(1.5, 200))
+        market = pop(*zip(capitals.tolist(), rng.uniform(0, 1, 200).tolist()))
+        with pytest.raises(ValueError, match="exceeds tolerance 1e-12") as info:
+            clearing_price(market, 1e-12)
+        residual = re.search(r"residual (\S+)", str(info.value)).group(1)
+        assert abs(float(residual)) > 1e-12
 
     def test_extreme_beliefs_with_imbalance(self):
         # all-or-nothing beliefs: one-sided demand is price-independent, so
@@ -364,6 +390,39 @@ class TestClosedFormSolver:
         result = clearing_price(pop(*zip(capitals, beliefs)))
         assert result.price == bisection_clearing_price(capitals, beliefs)
         assert abs(result.residual) <= 1e-9
+
+    @given(_populations(), st.sampled_from([-1000, -300, 300, 1000]))
+    @settings(max_examples=200, deadline=None)
+    @example(([1.0, 1.0], [0.3, 0.7]), 1000)
+    def test_power_of_two_capitals_keep_every_bit(self, population, k):
+        # Pareto capitals lie in [1, 100], so 2^-1000 keeps them normal and
+        # 2^1000 keeps every sum of them finite
+        capitals, beliefs = population
+        market = pop(*zip(capitals, beliefs))
+        scaled = pop(*zip([math.ldexp(c, k) for c in capitals], beliefs))
+        try:
+            result = clearing_price(market)
+        except ValueError as exc:  # no interior price, or the residual check
+            with pytest.raises(type(exc)):
+                clearing_price(scaled)
+            return
+        got = clearing_price(scaled)
+        assert (got.price, got.mean_belief, got.gap) == \
+            (result.price, result.mean_belief, result.gap)
+        assert abs(got.residual) <= 1e-9 * math.fsum(scaled.capitals)
+        if k > 0:
+            assert got.exposures == tuple(math.ldexp(x, k) for x in result.exposures)
+            assert got.residual == math.ldexp(result.residual, k)
+
+    @pytest.mark.parametrize("capital", [1e308, 1e-320])
+    def test_extreme_capitals(self, capital):
+        # the default tolerance overflowed at 1e308 and underflowed at 1e-320
+        result = clearing_price(pop((capital, 0.3), (capital, 0.7)))
+        assert result.price == pytest.approx(0.5, abs=1e-15)
+        assert result.mean_belief == pytest.approx(0.5, abs=1e-15)
+        # 1e-320 carries about 11 significant bits
+        assert result.exposures == pytest.approx((-0.4 * capital, 0.4 * capital),
+                                                 rel=1e-3)
 
     def test_hundred_thousand_investors_within_budget(self):
         # about 0.1 s on a 2-core x86 box; bisection took seconds

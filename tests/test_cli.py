@@ -73,6 +73,16 @@ class TestFraction:
         record = json.loads(out)
         assert (record["q"], record["p"], record["alpha"]) == (0.7, 0.6, 1)
 
+    def test_subnormal_price(self, capsys):
+        # f (1-p)/p overflows; the utility at f = 1 is log(1/p)
+        code, out = invoke(capsys, "fraction", "--q", "1", "--p", "1e-320")
+        assert code == 0
+        (record,) = strict_json_lines(out)
+        assert record["fraction"] == 1
+        assert record["utility_at_fraction"] == pytest.approx(
+            -math.log(1e-320), rel=1e-14)
+        assert record["utility_at_fraction"] == pytest.approx(736.83, abs=5e-3)
+
     def test_bad_price_exits_2(self, capsys):
         code, _ = invoke(capsys, "fraction", "--q", "0.5", "--p", "1.0")
         assert code == 2
@@ -117,6 +127,16 @@ class TestClear:
         path.write_text("capital,belief\n1,0\n2,0\n")
         code, _ = invoke(capsys, "clear", str(path))
         assert code == 3
+
+    @pytest.mark.parametrize("capital", ["1e308", "1e-320"])
+    def test_extreme_capitals(self, tmp_path, capsys, capital):
+        # the default tolerance overflowed at $1e308 and underflowed at $1e-320
+        path = tmp_path / "pop.csv"
+        path.write_text(f"capital,belief\n{capital},0.3\n{capital},0.7\n")
+        code, out = invoke(capsys, "clear", str(path))
+        assert code == 0
+        (record,) = strict_json_lines(out)
+        assert record["price"] == 0.5
 
     def test_malformed_file_exits_2(self, tmp_path, capsys):
         path = tmp_path / "pop.csv"
@@ -208,6 +228,14 @@ class TestKqAndSensitivity:
         assert record["alt_quadratic_coefficient"] == pytest.approx(
             2.0 * record["quadratic_coefficient"], abs=1e-12
         )
+
+    def test_sensitivity_bias_at_a_subnormal_price(self, capsys):
+        code, out = invoke(
+            capsys, "sensitivity", "--mode", "bias", "--N", "10", "--k", "3",
+            "--p", "2.2250738585e-313", "--eps", "0",
+        )
+        assert code == 0
+        assert strict_json_lines(out)[0]["exact"] == 0
 
     def test_bias_mode_needs_k(self, capsys):
         code, _ = invoke(
@@ -500,12 +528,13 @@ class TestSweepFileChecks:
 
 class TestOutputPolicy:
     def test_non_finite_value_exits_2_naming_the_field(self, capsys):
-        # log(1/p) is finite, but (1-p)/p overflows at a subnormal price
+        # the first-order term, -0.3 * 0.5 / 1e-320, is beyond the float range
         for fmt in ([], ["--csv"]):
-            code = main([*fmt, "fraction", "--q", "1", "--p", "1e-320"])
+            code = main([*fmt, "sensitivity", "--mode", "bias", "--N", "10",
+                         "--k", "3", "--p", "1e-320", "--eps", "0.5"])
             captured = capsys.readouterr()
             assert (code, captured.out) == (2, "")
-            assert captured.err == "error: utility_at_fraction is not finite: inf\n"
+            assert captured.err == "error: first_order is not finite: -inf\n"
 
     def test_strings_stay_quoted(self, tmp_path, capsys):
         path = write_sweep(tmp_path / "sweep.json", {

@@ -2,6 +2,7 @@ import functools
 import math
 import time
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -153,6 +154,17 @@ class TestKlDivergence:
     def test_rejects_boundary_reference(self):
         with pytest.raises(ValueError):
             kl_divergence(0.5, 0.0)
+
+    @pytest.mark.parametrize("a", [0.3, 1.0, 1e-3])
+    @pytest.mark.parametrize("p", [2.2250738585e-313, 1e-320, 5e-324])
+    def test_subnormal_reference(self, a, p):
+        # a / p overflows; a log(a) - a log(p) does not
+        with mpmath.workdps(50):
+            x, y = mpmath.mpf(a), mpmath.mpf(p)
+            want = x * mpmath.log(x / y)
+            if a < 1.0:
+                want += (1 - x) * mpmath.log((1 - x) / (1 - y))
+        assert kl_divergence(a, p) == pytest.approx(float(want), rel=1e-14)
 
 
 class TestChernoffBounds:
@@ -316,6 +328,19 @@ class TestSensitivityBias:
     def test_rejects_escape_from_unit_interval(self):
         with pytest.raises(ValueError):
             sensitivity_bias(4, WalkSpec(10, 0.6), 0.5)
+
+    def test_subnormal_bias(self):
+        # the slope (p - k/N) / (p (1-p)) overflows at this p
+        spec = WalkSpec(10, 2.2250738585e-313)
+        assert sensitivity_bias(3, spec, 0.0) == (0.0, 0.0)
+        exact, first_order = sensitivity_bias(3, spec, 1e-320)
+        with mpmath.workdps(50):
+            p, a = mpmath.mpf(spec.bias), mpmath.mpf(0.3)
+            eps = mpmath.mpf(spec.bias + 1e-320) - p
+            assert first_order == pytest.approx(
+                float((p - a) / (p * (1 - p)) * eps), rel=1e-14)
+        # exact is a difference of two divergences near 213
+        assert exact == pytest.approx(first_order, rel=1e-3)
 
 
 class TestSensitivityFraction:

@@ -144,6 +144,64 @@ class TestOptimalFraction:
         assert -1.0 <= f <= 1.0
 
 
+def mpmath_fraction(q, p):
+    """The signed Kelly fraction in 50-digit arithmetic, inputs taken at
+    their exact binary values, from the maximizer of the utility: the long
+    fraction q - p (1-q)/(1-p), or minus the complement's."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(50):
+        q, p = mp.mpf(q), mp.mpf(p)
+        if q >= p:
+            return q - p * (1 - q) / (1 - p)
+        return -((1 - q) - (1 - p) * q / p)
+
+
+class TestFractionNearTheDiagonal:
+    PRICES = (1e-9, 0.01, 0.3, 0.5, 0.7, 0.99, 1.0 - 1e-9)
+    GAPS = (1e-12, 3e-11, 1e-9, 1e-7, 1e-5, 1e-3, 0.1)
+
+    def test_within_two_ulp_of_mpmath(self):
+        for p in self.PRICES:
+            for gap in self.GAPS:
+                for q in (p + gap, p - gap, p, 0.0, 1.0):
+                    if not 0.0 <= q <= 1.0:
+                        continue
+                    want = mpmath_fraction(q, p)
+                    assert abs(optimal_fraction(q, p) - float(want)) <= \
+                        2 * math.ulp(float(want)), (q, p)
+
+
+def mpmath_utility(q, p, f):
+    """log_utility in 50-digit arithmetic, inputs at their binary values."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(50):
+        q, p, f = mp.mpf(q), mp.mpf(p), mp.mpf(f)
+        if f < 0:
+            q, p, f = 1 - q, 1 - p, -f
+        loss = 0 if q == 1 else (1 - q) * mp.log(1 - f)
+        return float(loss + q * mp.log(1 + f * (1 - p) / p))
+
+
+class TestLogUtilityEdges:
+    def test_representable_payouts_keep_their_bits(self):
+        for q in (0.0, 0.3, 0.5, 0.9, 1.0):
+            for p in (1e-9, 0.01, 0.3, 0.5, 0.8, 0.99):
+                for f in (-1.0, -0.6, -1e-3, 0.0, 1e-3, 0.25, 0.9, 1.0):
+                    qq, pp, ff = (1.0 - q, 1.0 - p, -f) if f < 0 else (q, p, f)
+                    if ff == 1.0 and qq < 1.0:
+                        continue
+                    loss = 0.0 if qq == 1.0 else (1.0 - qq) * math.log1p(-ff)
+                    assert log_utility(q, p, f) == \
+                        loss + qq * math.log1p(ff * (1.0 - pp) / pp)
+
+    @pytest.mark.parametrize("q,f", [(1.0, 1.0), (0.3, 0.5), (0.9, 1e-3)])
+    @pytest.mark.parametrize("p", [1e-320, 5e-324, 2.2250738585e-313])
+    def test_subnormal_price(self, q, p, f):
+        # f (1-p)/p overflows; the utility, about q log(f/p), does not
+        assert log_utility(q, p, f) == pytest.approx(mpmath_utility(q, p, f),
+                                                     rel=1e-14)
+
+
 class TestOptimalFractionAlpha:
     def test_alpha_one_matches_standard(self):
         for q in np.arange(0.05, 1.0, 0.05):
