@@ -10,6 +10,11 @@ sorted beliefs, with coefficients given by prefix sums of capital and
 capital times belief.  :func:`clearing_price` sorts the beliefs once,
 finds the segment where that quadratic changes sign, and returns its
 root there in closed form; no iteration is needed.
+
+A :class:`MarketPopulation` is two read-only arrays, capitals and beliefs;
+each :class:`Investor` is checked once, when the population is built.
+Sums run in units of a power of two that puts the largest capital in
+[1, 2), so any capitals in the float range give their unit-scale bits.
 """
 
 import math
@@ -59,40 +64,72 @@ class Investor:
         object.__setattr__(self, "belief", check_probability(self.belief, "belief"))
 
 
-def _read_only(values, count):
-    array = np.fromiter(values, dtype=float, count=count)
-    array.flags.writeable = False
-    return array
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class MarketPopulation:
-    investors: tuple
-    # Read-only copies of the investors' fields, in the same order, built
-    # once so that every solve and exposure sum runs over arrays.
-    capitals: np.ndarray = field(init=False, repr=False, compare=False)
-    beliefs: np.ndarray = field(init=False, repr=False, compare=False)
+    """Investors as read-only ``capitals`` and ``beliefs`` arrays, in the
+    order given; populations of equal investors are equal."""
 
-    def __post_init__(self):
-        inv = tuple(self.investors)
+    capitals: np.ndarray
+    beliefs: np.ndarray
+
+    def __init__(self, investors):
+        inv = tuple(investors)
         if not inv:
             raise ValueError("population must contain at least one investor")
-        object.__setattr__(self, "investors", inv)
-        object.__setattr__(self, "capitals",
-                           _read_only((i.capital for i in inv), len(inv)))
-        object.__setattr__(self, "beliefs",
-                           _read_only((i.belief for i in inv), len(inv)))
+        self._hold(np.array([i.capital for i in inv], dtype=float),
+                   np.array([i.belief for i in inv], dtype=float))
+
+    def _hold(self, capitals, beliefs):
+        for name, array in (("capitals", capitals), ("beliefs", beliefs)):
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
+
+    def __eq__(self, other):
+        return (other.__class__ is self.__class__
+                and np.array_equal(self.capitals, other.capitals)
+                and np.array_equal(self.beliefs, other.beliefs))
+
+    def __hash__(self):
+        # floats hash by value, so a belief of -0.0 hashes as 0.0 does
+        return hash((tuple(self.capitals.tolist()), tuple(self.beliefs.tolist())))
+
+    @property
+    def investors(self):
+        return tuple(map(Investor, self.capitals.tolist(), self.beliefs.tolist()))
 
     @property
     def total_capital(self):
-        return math.fsum(self.capitals.tolist())
+        return _dollar_sum(self.capitals, 1.0, "total capital")
 
     def scaled(self, factor):
         """Every capital multiplied by ``factor``; beliefs unchanged."""
         factor = check_positive(factor, "factor")
-        return MarketPopulation(
-            tuple(Investor(i.capital * factor, i.belief) for i in self.investors)
-        )
+        with np.errstate(over="ignore"):
+            capitals = self.capitals * factor
+        # no factor can both overflow one capital and underflow another
+        for bound in (capitals.max(), capitals.min()):
+            check_positive(float(bound), "capital")
+        population = object.__new__(MarketPopulation)
+        population._hold(capitals, self.beliefs)
+        return population
+
+
+def _in_units(capitals):
+    """``capitals`` in units of 2^(e - 1) dollars, which put the largest in
+    [1, 2), and that unit: exact, so no sum or ratio taken in these units
+    moves a bit, and none over- or underflows."""
+    e = math.frexp(capitals.max())[1]
+    return np.ldexp(capitals, 1 - e), math.ldexp(1.0, e - 1)
+
+
+def _dollar_sum(capitals, weights, name):
+    """``fsum(capitals * weights)`` in dollars; a ``ValueError`` naming it
+    when it is beyond the float range."""
+    capitals, unit = _in_units(capitals)
+    total = math.fsum(memoryview(capitals * weights)) * unit
+    if math.isinf(total):
+        raise ValueError(f"{name} is beyond the float range")
+    return total
 
 
 @dataclass(frozen=True)
@@ -111,22 +148,21 @@ def signed_exposure(inv, p):
 
 
 def _aggregate(capitals, beliefs, p):
-    return math.fsum((capitals * _kelly_fraction(beliefs, p, np.where)).tolist())
+    return math.fsum(memoryview(capitals * _kelly_fraction(beliefs, p, np.where)))
 
 
 def aggregate_exposure(pop, p):
     """Sum of signed exposures over the population at price ``p``."""
     p = check_probability(p, "p", open_interval=True)
-    return _aggregate(pop.capitals, pop.beliefs, p)
-
-
-def _mean_belief(capitals, beliefs):
-    return math.fsum((capitals * beliefs).tolist()) / math.fsum(capitals.tolist())
+    return _dollar_sum(pop.capitals, _kelly_fraction(pop.beliefs, p, np.where),
+                       "aggregate exposure")
 
 
 def mean_belief(pop):
     """Capital-weighted average belief, in [0, 1]."""
-    return _mean_belief(pop.capitals, pop.beliefs)
+    capitals, _ = _in_units(pop.capitals)
+    return (math.fsum(memoryview(capitals * pop.beliefs))
+            / math.fsum(memoryview(capitals)))
 
 
 def _clearing_root(capitals, beliefs):
@@ -174,8 +210,8 @@ def _segment_root(c, q):
     # the investors below the segment are those below its upper end
     m = int(np.searchsorted(q, upper, side="left"))
     lower = float(q[m - 1]) if m > first else _PRICE_LO
-    lo_c, hi_c = math.fsum(c[:m].tolist()), math.fsum(c[m:].tolist())
-    lo_cq, hi_cq = math.fsum(cq[:m].tolist()), math.fsum(cq[m:].tolist())
+    lo_c, hi_c = math.fsum(memoryview(c[:m])), math.fsum(memoryview(c[m:]))
+    lo_cq, hi_cq = math.fsum(memoryview(cq[:m])), math.fsum(memoryview(cq[m:]))
     return _quadratic_root(math.fsum((lo_c, -hi_c)),
                            math.fsum((hi_cq, -lo_c, -lo_cq)), lo_cq,
                            lower, upper)
@@ -207,13 +243,9 @@ def clearing_price(pop, tol=None):
     volume.  Raises :class:`NoInteriorClearing` when exposure has the same
     sign across the whole interior bracket.  Capitals may span the float range.
     """
-    # Solve in units of 2^(e - 1) dollars, which put the largest capital in
-    # [1, 2): exact, so no result's bits move, and nothing over/underflows.
-    e = math.frexp(pop.capitals.max())[1]
-    unit = math.ldexp(1.0, e - 1)
-    capitals, beliefs = np.ldexp(pop.capitals, 1 - e), pop.beliefs
+    (capitals, unit), beliefs = _in_units(pop.capitals), pop.beliefs
     # the residual's rounding grows with the capital, so the default does
-    tol = (1e-9 * math.fsum(capitals.tolist()) if tol is None
+    tol = (1e-9 * math.fsum(memoryview(capitals)) if tol is None
            else check_positive(tol, "tol") / unit)
     if beliefs.min() == beliefs.max():
         q = float(beliefs[0])
@@ -243,13 +275,13 @@ def clearing_price(pop, tol=None):
         price = _clearing_root(capitals, beliefs)
 
     exposures = capitals * _kelly_fraction(beliefs, price, np.where)
-    residual = math.fsum(exposures.tolist())
+    residual = math.fsum(memoryview(exposures))
     if abs(residual) > tol:
         raise ValueError(
             f"clearing residual {residual * unit:.3g} exceeds tolerance "
             f"{tol * unit:.3g} at price {price:.12g}"
         )
-    mb = _mean_belief(capitals, beliefs)
+    mb = mean_belief(pop)
     return ClearingResult(price, tuple((exposures * unit).tolist()), mb,
                           gap=mb - price, residual=residual * unit)
 

@@ -202,31 +202,28 @@ def load_population(path):
                 f"{path}: expected CSV header 'capital,belief', "
                 f"got {rows.fieldnames}"
             )
-    investors = [_investor(path, row, record)
-                 for row, record in enumerate(rows, start=1)]
+    investors = []
+    for row, record in enumerate(rows, start=1):
+        try:
+            investors.append(clearing.Investor(_number(record, "capital"),
+                                               _number(record, "belief")))
+        except ValueError as exc:
+            raise ValueError(f"{path}: row {row}: {exc}") from None
     try:
-        return clearing.MarketPopulation(tuple(investors))
+        return clearing.MarketPopulation(investors)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 
 
-def _investor(path, row, record):
-    values = []
-    for key in ("capital", "belief"):
-        try:
-            value = record[key]
-        except (KeyError, TypeError):
-            raise ValueError(f"{path}: row {row}: no {key!r} field") from None
-        try:
-            values.append(float(value))
-        except (TypeError, ValueError):
-            raise ValueError(
-                f"{path}: row {row}: {key} is not a number: {value!r}"
-            ) from None
+def _number(record, key):
     try:
-        return clearing.Investor(*values)
-    except ValueError as exc:
-        raise ValueError(f"{path}: row {row}: {exc}") from None
+        value = record[key]
+    except (KeyError, TypeError):
+        raise ValueError(f"no {key!r} field") from None
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{key} is not a number: {value!r}") from None
 
 
 def sweep_records(spec):

@@ -71,6 +71,80 @@ class TestInvestor:
         assert a == b and hash(a) == hash(b)
 
 
+class TestPopulation:
+    def test_scaled_is_one_multiply(self):
+        # rebuilding and re-checking one record per investor took ~200 ms
+        rng = np.random.default_rng(3)
+        market = pop(*zip((rng.pareto(1.5, 100_000) + 1.0).tolist(),
+                          rng.uniform(0.0, 1.0, 100_000).tolist()))
+        elapsed = []
+        for _ in range(3):
+            start = time.perf_counter()
+            scaled = market.scaled(2.5)
+            elapsed.append(time.perf_counter() - start)
+        assert min(elapsed) < 0.05
+        assert np.array_equal(scaled.capitals, market.capitals * 2.5)
+        assert np.array_equal(scaled.beliefs, market.beliefs)
+
+    @pytest.mark.parametrize("pairs, factor, got", [
+        (((1e308, 0.5),), 10.0, "inf"),
+        (((1.0, 0.5), (1e300, 0.2), (2e300, 0.9)), 1e10, "inf"),
+        (((5e-324, 0.5), (1e308, 0.5)), 2.0, "inf"),
+        (((0.25, 0.5),), 5e-324, "0.0"),
+        (((1.0, 0.5), (1e-300, 0.3)), 1e-30, "0.0"),
+        (((5e-324, 0.5), (1e308, 0.5)), 0.5, "0.0"),
+    ])
+    def test_scaled_out_of_range_messages(self, pairs, factor, got):
+        message = f"capital must be a positive finite number, got {got}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            pop(*pairs).scaled(factor)
+
+    def test_scaled_equals_its_rebuilt_records(self):
+        scaled = pop((2.0, 0.25), (3.0, 1.0), (0.5, -0.0)).scaled(3.0)
+        rebuilt = MarketPopulation(scaled.investors)
+        assert rebuilt == scaled and hash(rebuilt) == hash(scaled)
+        assert scaled.investors == (Investor(6.0, 0.25), Investor(9.0, 1.0),
+                                    Investor(1.5, 0.0))
+        # equal records, whatever the sign of a zero belief
+        assert pop((1.0, 0.0)) == pop((1.0, -0.0))
+        assert hash(pop((1.0, 0.0))) == hash(pop((1.0, -0.0)))
+        assert pop((1.0, 0.5)) != pop((1.0, 0.5), (1.0, 0.5))
+        assert pop((1.0, 0.5)) != pop((2.0, 0.5)) != pop((2.0, 0.25))
+
+    def test_scaled_population_is_frozen(self):
+        scaled = pop((2.0, 0.25), (3.0, 1.0)).scaled(3.0)
+        for array in (scaled.capitals, scaled.beliefs):
+            with pytest.raises(ValueError):
+                array[0] = 0.5
+        for name in ("capitals", "beliefs", "investors", "other"):
+            with pytest.raises(AttributeError):
+                setattr(scaled, name, np.ones(2))
+        assert scaled.capitals.tolist() == [6.0, 9.0]
+
+    def test_solves_and_sums_build_no_investor(self, monkeypatch):
+        market = pop((2.0, 0.25), (3.0, 0.75), (1.0, 0.0))
+        built = []
+        monkeypatch.setattr(Investor, "__post_init__",
+                            lambda self: built.append(self))
+        scaled = market.scaled(3.0)
+        clearing_price(scaled)
+        mean_belief(scaled)
+        aggregate_exposure(scaled, 0.4)
+        scaled.total_capital
+        assert built == []
+        assert len(scaled.investors) == len(built) == 3
+
+    def test_sums_beyond_the_float_range(self):
+        # fsum over the dollar capitals raised "intermediate overflow"
+        assert mean_belief(pop((1e308, 0.3), (1e308, 0.7))) == 0.5
+        assert aggregate_exposure(
+            pop((1e308, 1.0), (1e308, 1.0), (1e308, 0.0)), 0.5) == 1e308
+        with pytest.raises(ValueError, match="^total capital is beyond the"):
+            pop((1e308, 0.3), (1e308, 0.7)).total_capital
+        with pytest.raises(ValueError, match="^aggregate exposure is beyond the"):
+            aggregate_exposure(pop((1e308, 1.0), (1e308, 1.0)), 0.5)
+
+
 class TestSignedExposure:
     def test_certain_no_is_fully_short(self):
         for p in (0.1, 0.5, 0.9):
@@ -409,6 +483,8 @@ class TestClosedFormSolver:
         got = clearing_price(scaled)
         assert (got.price, got.mean_belief, got.gap) == \
             (result.price, result.mean_belief, result.gap)
+        if len(set(beliefs)) > 1:  # one shared belief is reported as itself
+            assert mean_belief(scaled) == got.mean_belief
         assert abs(got.residual) <= 1e-9 * math.fsum(scaled.capitals)
         if k > 0:
             assert got.exposures == tuple(math.ldexp(x, k) for x in result.exposures)

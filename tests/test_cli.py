@@ -160,6 +160,9 @@ class TestClear:
          "row 2: belief is not a number"),
         ("pop.csv", "capital,belief\n1,0.5\n2\n", "row 2: belief is not a number"),
         ("pop.csv", "capital,belief\n1,0.5\n2,1.5\n", "row 2: belief must lie"),
+        # the first bad row is named, whichever check it fails
+        ("pop.csv", "capital,belief\n-1,0.5\n2,abc\n",
+         ": row 1: capital must be a positive finite number, got -1.0\n"),
         ("pop.csv", "capital,belief\n", "at least one investor"),
     ])
     def test_bad_contents_exit_2_naming_the_file(self, tmp_path, capsys, name,
