@@ -14,6 +14,13 @@ def check_finite(value, name="value"):
     return x
 
 
+def is_integral(value):
+    """Whether ``value`` equals an integer; False for inf and NaN, which
+    ``int()`` would refuse with an error that names no parameter."""
+    return value == value and value not in (math.inf, -math.inf) \
+        and int(value) == value
+
+
 def check_probability(value, name="probability", open_interval=False):
     """Validate a probability, returning it as a float.
 

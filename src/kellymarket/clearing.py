@@ -84,6 +84,9 @@ class MarketPopulation:
             array.flags.writeable = False
             object.__setattr__(self, name, array)
 
+    def __setstate__(self, state):  # unpickled arrays are writeable
+        self._hold(state["capitals"], state["beliefs"])
+
     def __eq__(self, other):
         return (other.__class__ is self.__class__
                 and np.array_equal(self.capitals, other.capitals)
@@ -159,10 +162,13 @@ def aggregate_exposure(pop, p):
 
 
 def mean_belief(pop):
-    """Capital-weighted average belief, in [0, 1]."""
+    """Capital-weighted average belief, in [0, 1]; a belief every investor
+    holds is returned exactly."""
     capitals, _ = _in_units(pop.capitals)
-    return (math.fsum(memoryview(capitals * pop.beliefs))
+    mean = (math.fsum(memoryview(capitals * pop.beliefs))
             / math.fsum(memoryview(capitals)))
+    # the exact mean lies between the extreme beliefs; the rounded one may not
+    return min(max(mean, float(pop.beliefs.min())), float(pop.beliefs.max()))
 
 
 def _clearing_root(capitals, beliefs):

@@ -224,6 +224,8 @@ def _number(record, key):
         return float(value)
     except (TypeError, ValueError):
         raise ValueError(f"{key} is not a number: {value!r}") from None
+    except OverflowError:  # a JSON integer past the float range
+        raise ValueError(f"{key} is beyond the float range") from None
 
 
 def sweep_records(spec):

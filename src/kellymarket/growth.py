@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._validation import check_finite, check_probability
+from ._validation import check_finite, check_probability, is_integral
 from .kelly import even_odds_growth_rate
 
 __all__ = [
@@ -52,7 +52,7 @@ class WalkSpec:
     bias: float
 
     def __post_init__(self):
-        if int(self.steps) != self.steps or self.steps < 1:
+        if not is_integral(self.steps) or self.steps < 1:
             raise ValueError(f"steps must be a positive integer, got {self.steps!r}")
         object.__setattr__(self, "steps", int(self.steps))
         object.__setattr__(
@@ -137,7 +137,7 @@ def _log_pmf_terms_bulk(n, p, k_max):
 
 
 def _check_count(spec, k):
-    if int(k) != k or not 0 <= k <= spec.steps:
+    if not is_integral(k) or not 0 <= k <= spec.steps:
         raise ValueError(f"k must be an integer in [0, {spec.steps}], got {k!r}")
     return int(k)
 
@@ -200,7 +200,7 @@ def kl_divergence(a, p):
 
 def _check_lower_tail(spec, k, k_min=0):
     n, p = spec.steps, spec.bias
-    if int(k) != k:
+    if not is_integral(k):
         raise ValueError(f"k must be an integer, got {k!r}")
     k = int(k)
     if k < k_min or k > n * p:
@@ -264,9 +264,7 @@ def threshold_steps(f, spec, log_wealth_target):
 def prob_growth_below(f, spec, log_wealth_target):
     """Exact probability that terminal log-wealth is <= the target when
     betting fraction ``f`` each step."""
-    k_q = threshold_steps(f, spec, log_wealth_target)
-    k_q = min(max(k_q, -1.0), float(spec.steps))
-    return binomial_cdf(spec, k_q)
+    return binomial_cdf(spec, threshold_steps(f, spec, log_wealth_target))
 
 
 def sensitivity_bias(k, spec, eps):

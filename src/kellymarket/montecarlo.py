@@ -6,9 +6,10 @@ the up-step count of each path is kept, and wealth is tracked in log space.
 The engine never builds those objects per path.  It works in two stages:
 
 * **Keys.** The ``SeedSequence`` hash (O'Neill's seed_seq mixing over
-  uint32 words) is a fixed schedule, so one numpy pass derives the Philox
-  keys of a whole block of path indices.  The seed's words, zero-padded
-  to four, are mixed once; only the last stage depends on the index.
+  uint32 words) is a fixed schedule.  Its mixed pool of the seed's words
+  is numpy's own ``SeedSequence(seed).pool``; only the stage that mixes
+  in the path index, and the output hash, run here, in one numpy pass
+  over a whole block of path indices.
 * **Flips.** Walks of at most :data:`BULK_MAX_STEPS` steps run Philox
   itself in numpy over a chunk of paths by ``ceil(N/4)`` counter blocks,
   with the 64-bit multiply-high split into 32-bit halves.  Longer walks
@@ -17,9 +18,8 @@ The engine never builds those objects per path.  It works in two stages:
   alone, fixed where the two kernels took equal time per path.
 
 Both kernels reproduce numpy's streams bit for bit, so a result depends
-only on the config.  ``workers`` splits the path range into consecutive
-chunks run one after another; it starts no threads, and since a path's
-flips depend only on its absolute index the split never shows.
+only on the config.  The ``workers`` argument is accepted for
+compatibility and has no effect.
 """
 
 import math
@@ -28,7 +28,7 @@ from typing import Optional
 
 import numpy as np
 
-from ._validation import check_finite
+from ._validation import check_finite, is_integral
 from .growth import WalkSpec, prob_growth_below
 from .kelly import even_odds_growth_rate
 
@@ -59,14 +59,14 @@ class SimConfig:
                 f"fraction must lie in [0, 1): f = 1 is ruined by a single "
                 f"loss, got {self.fraction!r}"
             )
-        if int(self.paths) != self.paths or self.paths < 1:
+        if not is_integral(self.paths) or self.paths < 1:
             raise ValueError(f"paths must be a positive integer, got {self.paths!r}")
         if self.paths > MAX_PATHS:
             raise ValueError(
                 f"paths must be below 2**32 (a path index is one 32-bit "
                 f"spawn-key word), got {self.paths!r}"
             )
-        if int(self.seed) != self.seed or not 0 <= self.seed < 2 ** 64:
+        if not is_integral(self.seed) or not 0 <= self.seed < 2 ** 64:
             raise ValueError(f"seed must be an unsigned 64-bit integer, got {self.seed!r}")
         object.__setattr__(self, "paths", int(self.paths))
         object.__setattr__(self, "seed", int(self.seed))
@@ -102,14 +102,15 @@ class StrategyComparison:
     se_diff_vs_first: float
 
 
-# Stage 1, keys: the seed_seq hash behind numpy's SeedSequence (M. O'Neill,
-# uint32 words, multipliers stepped at every call), evaluated for a whole
-# block of path indices in numpy.
+# Stage 1, keys: the last stage of the seed_seq hash behind numpy's
+# SeedSequence (M. O'Neill, uint32 words, multipliers stepped at every
+# call), evaluated for a whole block of path indices in numpy.
 _M32 = 0xFFFFFFFF
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_POOL_SIZE = 4
+# Hash call i uses init * mult**i and the next; a four-word pool takes
+# 4 + 12 calls before the index word, and the output stage starts afresh.
+_INDEX_CONSTS = [0x43B0D7E5 * 0x931E8875 ** i & _M32 for i in range(16, 21)]
+_OUT_CONSTS = [0x8B51F9DD * 0x58F38DED ** i & _M32 for i in range(5)]
 
 # Stage 2, flips: Philox4x64-10 (Salmon et al., SC'11) round multipliers
 # and key increments, as in numpy's Philox bit generator.
@@ -124,13 +125,6 @@ BULK_MAX_STEPS = 72
 # Chunk size limit in (path x counter block) elements for the bulk kernel,
 # and in paths for the native one: keeps memory flat at any path count.
 _CHUNK_ELEMENTS = 2 ** 13
-
-
-def _hash_constants(init, mult, calls):
-    consts = [init]
-    for _ in range(calls):
-        consts.append((consts[-1] * mult) & _M32)
-    return consts
 
 
 def _hashmix(value, consts, call):
@@ -149,24 +143,14 @@ def _philox_keys(seed, start, stop):
     indices ``start <= i < stop < 2**32``: the two uint64 arrays that
     ``generate_state(2, np.uint64)`` gives, bit for bit.
 
-    The entropy is the seed's uint32 words zero-padded to the pool size,
-    then the path index as one more word, so only the last mixing stage
-    depends on the path.
+    A seed below 2**64 fills at most two of the four pool words, and numpy
+    zero-pads it to four before it appends the spawn key, so the mixed
+    pool before the index word is ``SeedSequence(seed).pool``.
     """
-    # one hash per seed word, per ordered pair of pool words, and per pool
-    # word for the index
-    consts = _hash_constants(_INIT_A, _MULT_A, _POOL_SIZE * (_POOL_SIZE + 1))
-    pool = [_hashmix((seed >> 32 * j) & _M32, consts, j) for j in range(_POOL_SIZE)]
-    call = _POOL_SIZE
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], _hashmix(pool[src], consts, call))
-                call += 1
+    pool = np.random.SeedSequence(seed).pool.tolist()
     index = np.arange(start, stop, dtype=np.uint64).astype(np.uint32)
-    pool = [_mix(pool[j], _hashmix(index, consts, call + j)) for j in range(_POOL_SIZE)]
-    out_consts = _hash_constants(_INIT_B, _MULT_B, _POOL_SIZE)
-    words = [_hashmix(w, out_consts, j).astype(np.uint64) for j, w in enumerate(pool)]
+    pool = [_mix(w, _hashmix(index, _INDEX_CONSTS, j)) for j, w in enumerate(pool)]
+    words = [_hashmix(w, _OUT_CONSTS, j).astype(np.uint64) for j, w in enumerate(pool)]
     return words[0] | words[1] << 32, words[2] | words[3] << 32
 
 
@@ -238,17 +222,6 @@ def _path_up_steps(walk, paths, seed, path_offset=0):
     ])
 
 
-def _up_steps(config, workers=1):
-    """Up-step counts of all paths.  ``workers`` splits the path range into
-    that many consecutive chunks, run one after another; a path's count
-    depends only on its absolute index, so the split never shows."""
-    chunk = -(-config.paths // max(1, workers))
-    return np.concatenate([
-        _path_up_steps(config.walk, min(chunk, config.paths - s), config.seed, s)
-        for s in range(0, config.paths, chunk)
-    ])
-
-
 def _per_step_growth(config, up_steps):
     n, f = config.walk.steps, config.fraction
     return (up_steps * math.log1p(f) + (n - up_steps) * math.log1p(-f)) / n
@@ -266,7 +239,7 @@ def _result(config, up_steps, per_step):
     hit = None
     if config.threshold is not None:
         hit = float(np.mean(per_step * walk.steps <= config.threshold))
-    hist = tuple(int(c) for c in np.bincount(up_steps, minlength=walk.steps + 1))
+    hist = tuple(np.bincount(up_steps, minlength=walk.steps + 1).tolist())
     return SimResult(
         mean_log_growth_per_step=float(per_step.mean()),
         std_error=_std_error(per_step),
@@ -277,8 +250,9 @@ def _result(config, up_steps, per_step):
 
 
 def run(config, workers=1):
-    """Simulate the configured walk and return aggregate growth statistics."""
-    up_steps = _up_steps(config, workers)
+    """Simulate the configured walk and return aggregate growth
+    statistics; ``workers`` has no effect."""
+    up_steps = _path_up_steps(config.walk, config.paths, config.seed)
     return _result(config, up_steps, _per_step_growth(config, up_steps))
 
 
@@ -288,6 +262,7 @@ def compare_strategies(configs, workers=1):
     All configs must share walk, paths, and seed, so the flips (and hence
     the up-step counts) are common random numbers and growth differences
     are paired.  Differences are reported against the first config.
+    ``workers`` has no effect.
     """
     configs = list(configs)
     if not configs:
@@ -297,7 +272,7 @@ def compare_strategies(configs, workers=1):
         if (c.walk, c.paths, c.seed) != (first.walk, first.paths, first.seed):
             raise ValueError("configs must share walk, paths, and seed")
 
-    up_steps = _up_steps(first, workers)
+    up_steps = _path_up_steps(first.walk, first.paths, first.seed)
     per_steps = [_per_step_growth(c, up_steps) for c in configs]
     rows = []
     for c, per_step in zip(configs, per_steps):
@@ -323,7 +298,7 @@ def threshold_validation(config, workers=1):
 
     Returns ``(empirical, exact, z_score)``; the z-score uses the binomial
     standard error of the empirical frequency and should stay within a few
-    units for a correct engine at 10^4+ paths.
+    units for a correct engine at 10^4+ paths.  ``workers`` has no effect.
     """
     return threshold_z(config, run(config, workers))
 

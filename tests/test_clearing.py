@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import re
 import time
 
@@ -121,6 +123,20 @@ class TestPopulation:
                 setattr(scaled, name, np.ones(2))
         assert scaled.capitals.tolist() == [6.0, 9.0]
 
+    @pytest.mark.parametrize("restore", [
+        lambda p: pickle.loads(pickle.dumps(p)), copy.deepcopy, copy.copy,
+    ])
+    def test_copies_stay_frozen(self, restore):
+        market = pop((2.0, 0.25), (3.0, 1.0))
+        for original in (market, market.scaled(3.0)):
+            restored = restore(original)
+            assert restored == original
+            for array in (restored.capitals, restored.beliefs):
+                assert not array.flags.writeable
+            for name in ("capitals", "beliefs", "investors", "other"):
+                with pytest.raises(AttributeError):
+                    setattr(restored, name, np.ones(2))
+
     def test_solves_and_sums_build_no_investor(self, monkeypatch):
         market = pop((2.0, 0.25), (3.0, 0.75), (1.0, 0.0))
         built = []
@@ -213,6 +229,15 @@ class TestMeanBelief:
 
     def test_extreme_symmetric(self):
         assert mean_belief(pop((1.0, 0.0), (1.0, 1.0))) == 0.5
+
+    def test_shared_belief_is_exact(self):
+        # the weighted sum alone rounds to 0.10000000000000002
+        assert mean_belief(pop((1.0, 0.1), (1.0, 0.1), (1.0, 0.1))) == 0.1
+        rng = np.random.default_rng(5)
+        for _ in range(2000):
+            size, q = int(rng.integers(2, 10)), float(rng.uniform(0.01, 0.99))
+            market = pop(*((c, q) for c in rng.uniform(0.01, 100.0, size)))
+            assert mean_belief(market) == clearing_price(market).mean_belief == q
 
 
 class TestClearingPrice:
@@ -483,8 +508,7 @@ class TestClosedFormSolver:
         got = clearing_price(scaled)
         assert (got.price, got.mean_belief, got.gap) == \
             (result.price, result.mean_belief, result.gap)
-        if len(set(beliefs)) > 1:  # one shared belief is reported as itself
-            assert mean_belief(scaled) == got.mean_belief
+        assert mean_belief(scaled) == got.mean_belief
         assert abs(got.residual) <= 1e-9 * math.fsum(scaled.capitals)
         if k > 0:
             assert got.exposures == tuple(math.ldexp(x, k) for x in result.exposures)

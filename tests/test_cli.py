@@ -164,6 +164,10 @@ class TestClear:
         ("pop.csv", "capital,belief\n-1,0.5\n2,abc\n",
          ": row 1: capital must be a positive finite number, got -1.0\n"),
         ("pop.csv", "capital,belief\n", "at least one investor"),
+        # float() of a JSON integer this large raises OverflowError
+        pytest.param("pop.json", '[{"capital": 1' + "0" * 400 + ', "belief": 0.5}]',
+                     ": row 1: capital is beyond the float range\n",
+                     id="json-integer-beyond-the-float-range"),
     ])
     def test_bad_contents_exit_2_naming_the_file(self, tmp_path, capsys, name,
                                                  text, detail):
@@ -508,6 +512,29 @@ class TestSweepFileChecks:
         assert (code, captured.out) == (2, "")
         assert captured.err.startswith(f"error: {path}: ")
         assert re.search(detail, captured.err)
+
+    # JSON reads 1e400 as inf, and int() of inf or NaN names no parameter
+    @pytest.mark.parametrize("command, variable, fixed, message", [
+        ("bounds", "p", '{"N": 1e400, "k": 2}',
+         "steps must be a positive integer, got inf"),
+        ("bounds", "p", '{"N": NaN, "k": 2}',
+         "steps must be a positive integer, got nan"),
+        ("bounds", "p", '{"N": 10, "k": 1e400}', "k must be an integer, got inf"),
+        ("kq", "f", '{"N": 1e400, "Q": 0}',
+         "steps must be a positive integer, got inf"),
+        ("kq", "f", '{"N": -1e400, "Q": 0}',
+         "steps must be a positive integer, got -inf"),
+        ("sensitivity", "p", '{"mode": "bias", "N": 10, "k": NaN, "eps": 0.01}',
+         "k must be an integer in [0, 10], got nan"),
+    ])
+    def test_non_finite_integer_exits_2_naming_it(self, tmp_path, capsys, command,
+                                                  variable, fixed, message):
+        path = write_sweep(tmp_path / "sweep.json", (
+            f'{{"command": "{command}", "variable": "{variable}", '
+            f'"range": [0.5, 0.6, 0.1], "fixed": {fixed}}}'))
+        code = main(["sweep", path])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (2, "", f"error: {message}\n")
 
     def test_grid_cap(self, tmp_path, capsys):
         spec = {"command": "kq", "variable": "Q", "fixed": {"f": 0.5, "N": 10},

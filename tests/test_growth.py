@@ -1,5 +1,6 @@
 import functools
 import math
+import re
 import time
 
 import mpmath
@@ -47,6 +48,23 @@ class TestWalkSpec:
             WalkSpec(10, 0.0)
         with pytest.raises(ValueError):
             WalkSpec(10, 1.0)
+
+
+# int() of inf or NaN raises an error that names no parameter
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, 2.5])
+@pytest.mark.parametrize("call, message", [
+    (lambda v: WalkSpec(v, 0.5), "steps must be a positive integer"),
+    (lambda v: binomial_pmf(WalkSpec(10, 0.5), v),
+     r"k must be an integer in \[0, 10\]"),
+    (lambda v: sensitivity_bias(v, WalkSpec(10, 0.6), 0.01),
+     r"k must be an integer in \[0, 10\]"),
+    (lambda v: chernoff_upper(WalkSpec(10, 0.6), v), "k must be an integer"),
+    (lambda v: chernoff_lower(WalkSpec(10, 0.6), v), "k must be an integer"),
+], ids=["steps", "binomial_pmf", "sensitivity_bias", "chernoff_upper",
+        "chernoff_lower"])
+def test_integer_parameter_refused_by_name(call, message, value):
+    with pytest.raises(ValueError, match=f"^{message}, got {re.escape(repr(value))}$"):
+        call(value)
 
 
 class TestBinomialPmf:

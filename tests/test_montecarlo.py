@@ -38,6 +38,17 @@ class TestSimConfig:
         with pytest.raises(ValueError, match="paths"):
             SimConfig(WalkSpec(10, 0.5), 0.1, 2 ** 32, 1)
 
+    # int() of inf or NaN raises an error that names no parameter
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, 2.5])
+    @pytest.mark.parametrize("field, message", [
+        ("paths", "paths must be a positive integer"),
+        ("seed", "seed must be an unsigned 64-bit integer"),
+    ])
+    def test_integer_field_refused_by_name(self, field, message, value):
+        fields = {"paths": 10, "seed": 1, field: value}
+        with pytest.raises(ValueError, match=f"^{message}, got {value!r}$"):
+            SimConfig(WalkSpec(10, 0.5), 0.1, **fields)
+
     @pytest.mark.parametrize("threshold", [math.inf, -math.inf, math.nan])
     def test_rejects_non_finite_threshold(self, threshold):
         with pytest.raises(ValueError, match=r"\bQ\b"):
@@ -146,8 +157,9 @@ class TestEngineAgainstPerPathStreams:
     @pytest.mark.parametrize("workers", [2, 3, 7])
     def test_workers_split_matches_per_path_streams(self, workers):
         config = SimConfig(WalkSpec(15, 0.55), 0.15, 101, 77)
-        got = montecarlo._up_steps(config, workers)
-        assert np.array_equal(got, per_path_up_steps(config.walk, 101, 77))
+        got = run(config, workers).up_step_histogram
+        expected = np.bincount(per_path_up_steps(config.walk, 101, 77), minlength=16)
+        assert got == tuple(expected.tolist())
 
 
 class TestReproducibility:
