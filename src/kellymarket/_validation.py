@@ -1,27 +1,43 @@
 """Input validation helpers shared across the package.
 
-All checks raise ``ValueError`` with the offending name and value so CLI
+Numbers are parsed and checked only here.  Every check raises
+``ValueError`` with the offending name and value, for any input, so CLI
 error messages stay informative.
 """
 
 import math
 
 
-def check_finite(value, name="value"):
-    x = float(value)
+def as_float(value, name):
+    """``float(value)``, or a ``ValueError`` naming ``name``."""
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} is not a number: {value!r}") from None
+    except OverflowError:  # an integer past the float range
+        raise ValueError(f"{name} is beyond the float range") from None
+
+
+def check_finite(value, name):
+    x = as_float(value, name)
     if not math.isfinite(x):
         raise ValueError(f"{name} must be finite, got {value!r}")
     return x
 
 
-def is_integral(value):
-    """Whether ``value`` equals an integer; False for inf and NaN, which
-    ``int()`` would refuse with an error that names no parameter."""
-    return value == value and value not in (math.inf, -math.inf) \
-        and int(value) == value
+def check_integer(value, name, what, lo, hi):
+    """``int(value)`` for an integer ``value`` in [lo, hi]; any other value,
+    a string, None or NaN too, is a ``ValueError`` naming ``name``."""
+    try:
+        n = int(value)
+        if n == value and lo <= n <= hi:
+            return n
+    except (TypeError, ValueError, ArithmeticError):
+        pass
+    raise ValueError(f"{name} must be {what}, got {value!r}")
 
 
-def check_probability(value, name="probability", open_interval=False):
+def check_probability(value, name, open_interval=False):
     """Validate a probability, returning it as a float.
 
     With ``open_interval=True`` the endpoints 0 and 1 are rejected
@@ -36,19 +52,20 @@ def check_probability(value, name="probability", open_interval=False):
     return x
 
 
-def check_fraction(value, name="fraction", lo=-1.0, hi=1.0,
-                   open_lo=False, open_hi=False):
-    """Validate a bet fraction (fraction of capital, signed)."""
+def check_fraction(value, name, lo=-1.0, open_interval=False):
+    """Validate a bet fraction (fraction of capital, signed): in [lo, 1],
+    or in (lo, 1) with ``open_interval=True``."""
     x = check_finite(value, name)
-    if x < lo or (open_lo and x == lo):
-        raise ValueError(f"{name} must be {'>' if open_lo else '>='} {lo}, got {x}")
-    if x > hi or (open_hi and x == hi):
-        raise ValueError(f"{name} must be {'<' if open_hi else '<='} {hi}, got {x}")
+    above, below = (">", "<") if open_interval else (">=", "<=")
+    if x < lo or (open_interval and x == lo):
+        raise ValueError(f"{name} must be {above} {lo}, got {x}")
+    if x > 1.0 or (open_interval and x == 1.0):
+        raise ValueError(f"{name} must be {below} 1.0, got {x}")
     return x
 
 
-def check_positive(value, name="value"):
-    x = float(value)
+def check_positive(value, name):
+    x = as_float(value, name)
     if not (math.isfinite(x) and x > 0.0):
         raise ValueError(f"{name} must be a positive finite number, got {value!r}")
     return x

@@ -26,6 +26,7 @@ import re
 import sys
 
 from . import clearing, growth, kelly, montecarlo
+from ._validation import as_float
 
 EXIT_BAD_INPUT = 2
 EXIT_NO_SOLUTION = 3
@@ -76,11 +77,9 @@ def _record_fraction(q, p, alpha=1.0):
 
 def _record_bounds(N, p, k):
     spec = growth.WalkSpec(N, p)
+    upper = growth.chernoff_upper(spec, k)  # k an integer in [0, N p] from here
     lower = growth.chernoff_lower(spec, k) if k >= 1 else None
     log_cdf = growth.log_binomial_cdf(spec, k)
-    upper = growth.chernoff_upper(spec, k)
-    if log_cdf == -math.inf:
-        raise ValueError("tail probability is zero; rate undefined")
     return {"N": spec.steps, "p": p, "k": int(k),
             "exact_cdf": math.exp(log_cdf), "upper": upper, "lower": lower,
             "kl": growth.kl_divergence(k / spec.steps, p),
@@ -124,8 +123,8 @@ def _record_simulate(N, p, f, paths, seed, Q=None, workers=1):
     exact = z = None
     if Q is not None and 0.0 < f < 1.0:
         _, exact, z = montecarlo.threshold_z(config, result)
-    return {"N": int(N), "p": p, "f": f, "Q": Q, "paths": int(paths),
-            "seed": int(seed),
+    return {"N": config.walk.steps, "p": p, "f": f, "Q": Q,
+            "paths": config.paths, "seed": config.seed,
             "mean_log_growth_per_step": result.mean_log_growth_per_step,
             "std_error": result.std_error,
             "analytic_growth_rate": kelly.even_odds_growth_rate(p, f),
@@ -220,12 +219,7 @@ def _number(record, key):
         value = record[key]
     except (KeyError, TypeError):
         raise ValueError(f"no {key!r} field") from None
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise ValueError(f"{key} is not a number: {value!r}") from None
-    except OverflowError:  # a JSON integer past the float range
-        raise ValueError(f"{key} is beyond the float range") from None
+    return as_float(value, key)
 
 
 def sweep_records(spec):

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._validation import check_finite, check_probability, is_integral
+from ._validation import as_float, check_finite, check_integer, check_probability
 from .kelly import even_odds_growth_rate
 
 __all__ = [
@@ -52,9 +52,9 @@ class WalkSpec:
     bias: float
 
     def __post_init__(self):
-        if not is_integral(self.steps) or self.steps < 1:
-            raise ValueError(f"steps must be a positive integer, got {self.steps!r}")
-        object.__setattr__(self, "steps", int(self.steps))
+        steps = check_integer(self.steps, "steps", "a positive integer", 1, math.inf)
+        as_float(steps, "steps")  # every formula here takes N as a float
+        object.__setattr__(self, "steps", steps)
         object.__setattr__(
             self, "bias", check_probability(self.bias, "bias", open_interval=True)
         )
@@ -136,12 +136,6 @@ def _log_pmf_terms_bulk(n, p, k_max):
     return out
 
 
-def _check_count(spec, k):
-    if not is_integral(k) or not 0 <= k <= spec.steps:
-        raise ValueError(f"k must be an integer in [0, {spec.steps}], got {k!r}")
-    return int(k)
-
-
 def binomial_pmf(spec, k):
     """P(exactly k up-steps) = C(N,k) p^k (1-p)^(N-k).
 
@@ -149,7 +143,8 @@ def binomial_pmf(spec, k):
     big integer; longer ones its log as in :func:`_log_pmf_anchor`, in
     O(min(k, N - k)) time.
     """
-    n, p, k = spec.steps, spec.bias, _check_count(spec, k)
+    n, p = spec.steps, spec.bias
+    k = check_integer(k, "k", f"an integer in [0, {n}]", 0, n)
     if n > LOOP_MAX_STEPS:
         return math.exp(_log_pmf_anchor(n, p, k))
     return math.exp(_log_pmf_terms_loop(n, p, k)[k])
@@ -200,9 +195,7 @@ def kl_divergence(a, p):
 
 def _check_lower_tail(spec, k, k_min=0):
     n, p = spec.steps, spec.bias
-    if not is_integral(k):
-        raise ValueError(f"k must be an integer, got {k!r}")
-    k = int(k)
+    k = check_integer(k, "k", "an integer", -math.inf, math.inf)
     if k < k_min or k > n * p:
         raise OutOfValidityRegion(
             f"bound requires {k_min} <= k <= N*p = {n * p:g}, got k = {k}"
@@ -247,7 +240,7 @@ def threshold_steps(f, spec, log_wealth_target):
     reached; callers clamp as needed.  A non-finite target Q, or one so
     large that the step count overflows, is rejected.
     """
-    f = float(f)
+    f = as_float(f, "f")
     if not 0.0 < f < 1.0:
         raise ValueError(f"f must lie in (0, 1), got {f!r}")
     n = spec.steps
@@ -274,8 +267,9 @@ def sensitivity_bias(k, spec, eps):
     ``D(k/N || p+eps) - D(k/N || p)`` and the linear term is
     ``(p - k/N) / (p (1-p)) * eps``.
     """
-    n, p, k = spec.steps, spec.bias, _check_count(spec, k)
-    eps = float(eps)
+    n, p = spec.steps, spec.bias
+    k = check_integer(k, "k", f"an integer in [0, {n}]", 0, n)
+    eps = as_float(eps, "eps")
     if not 0.0 < p + eps < 1.0:
         raise ValueError(f"p + eps must stay inside (0, 1), got {p + eps}")
     a = k / n
@@ -297,7 +291,7 @@ def sensitivity_fraction(p, eps):
     ``log(1 - eps^2) / 2``, which pins the coefficient.
     """
     p = check_probability(p, "p", open_interval=True)
-    eps = float(eps)
+    eps = as_float(eps, "eps")
     f_star = kelly_fraction_even_odds(p)
     if not -1.0 < f_star + eps < 1.0:
         raise ValueError(f"2p-1+eps must stay inside (-1, 1), got {f_star + eps}")

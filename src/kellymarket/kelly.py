@@ -12,7 +12,7 @@ Conventions:
 
 import math
 
-from ._validation import check_fraction, check_probability
+from ._validation import as_float, check_fraction, check_probability
 
 __all__ = [
     "probability_to_odds",
@@ -33,7 +33,7 @@ def probability_to_odds(prob):
 
 def odds_to_probability(odds):
     """Inverse of :func:`probability_to_odds`."""
-    x = float(odds)
+    x = as_float(odds, "odds")
     if not (math.isfinite(x) and x >= 0.0):
         raise ValueError(f"odds must be a non-negative finite number, got {odds!r}")
     return x / (1.0 + x)
@@ -99,7 +99,7 @@ def optimal_fraction(q, p):
 
 
 def _check_alpha(alpha):
-    a = float(alpha)
+    a = as_float(alpha, "alpha")
     if not (math.isfinite(a) and a >= 0.0):
         raise ValueError(f"alpha must be >= 0, got {alpha!r}")
     return a
@@ -149,7 +149,7 @@ def even_odds_growth_rate(p, f):
     """Per-step expected log growth ``p log(1+f) + (1-p) log(1-f)`` of the
     double-or-nothing game; maximized at f = 2p - 1."""
     p = check_probability(p, "p")
-    f = check_fraction(f, "f", open_lo=True, open_hi=True)
+    f = check_fraction(f, "f", open_interval=True)
     up = 0.0 if p == 0.0 else p * math.log1p(f)
     down = 0.0 if p == 1.0 else (1.0 - p) * math.log1p(-f)
     return up + down

@@ -28,7 +28,7 @@ from typing import Optional
 
 import numpy as np
 
-from ._validation import check_finite, is_integral
+from ._validation import as_float, check_finite, check_integer
 from .growth import WalkSpec, prob_growth_below
 from .kelly import even_odds_growth_rate
 
@@ -54,23 +54,23 @@ class SimConfig:
     threshold: Optional[float] = None  # terminal log-wealth target Q
 
     def __post_init__(self):
-        if not 0.0 <= self.fraction < 1.0:
+        fraction = as_float(self.fraction, "fraction")
+        if not 0.0 <= fraction < 1.0:
             raise ValueError(
                 f"fraction must lie in [0, 1): f = 1 is ruined by a single "
                 f"loss, got {self.fraction!r}"
             )
-        if not is_integral(self.paths) or self.paths < 1:
-            raise ValueError(f"paths must be a positive integer, got {self.paths!r}")
-        if self.paths > MAX_PATHS:
+        paths = check_integer(self.paths, "paths", "a positive integer", 1, math.inf)
+        if paths > MAX_PATHS:
             raise ValueError(
                 f"paths must be below 2**32 (a path index is one 32-bit "
                 f"spawn-key word), got {self.paths!r}"
             )
-        if not is_integral(self.seed) or not 0 <= self.seed < 2 ** 64:
-            raise ValueError(f"seed must be an unsigned 64-bit integer, got {self.seed!r}")
-        object.__setattr__(self, "paths", int(self.paths))
-        object.__setattr__(self, "seed", int(self.seed))
-        object.__setattr__(self, "fraction", float(self.fraction))
+        seed = check_integer(self.seed, "seed", "an unsigned 64-bit integer",
+                             0, 2 ** 64 - 1)
+        object.__setattr__(self, "paths", paths)
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "fraction", fraction)
         if self.threshold is not None:
             object.__setattr__(self, "threshold", check_finite(
                 self.threshold, "threshold Q (log-wealth target)"))

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -203,6 +204,30 @@ class TestBounds:
     def test_out_of_validity_exits_2(self, capsys):
         code, _ = invoke(capsys, "bounds", "--N", "10", "--p", "0.4", "--k", "9")
         assert code == 2
+
+    @pytest.mark.parametrize("k", ["9", "-1"])
+    def test_upper_bound_checks_k_first(self, capsys, k):
+        code = main(["bounds", "--N", "10", "--p", "0.4", "--k", k])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (
+            2, "", f"error: bound requires 0 <= k <= N*p = 4, got k = {k}\n")
+
+    @pytest.mark.parametrize("argv", [["bounds", "--p", "0.5", "--k", "3"],
+                                      ["kq", "--f", "0.5", "--Q", "0"]],
+                             ids=["bounds", "kq"])
+    def test_steps_beyond_the_float_range_exit_2(self, capsys, argv):
+        code = main([*argv, "--N", "1" + "0" * 400])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (
+            2, "", "error: steps is beyond the float range\n")
+
+    def test_largest_float_step_count(self, capsys):
+        n = int(sys.float_info.max)
+        code, out = invoke(capsys, "bounds", "--N", str(n), "--p", "0.5", "--k", "3")
+        assert (code, out) == (0, (
+            f'{{"N": {n}, "p": 0.5, "k": 3, "exact_cdf": 0, "upper": 0, '
+            '"lower": 0, "kl": 0.693147180559945, '
+            '"rate_per_step": 0.693147180559945}\n'))
 
 
 class TestKqAndSensitivity:
@@ -526,12 +551,44 @@ class TestSweepFileChecks:
          "steps must be a positive integer, got -inf"),
         ("sensitivity", "p", '{"mode": "bias", "N": 10, "k": NaN, "eps": 0.01}',
          "k must be an integer in [0, 10], got nan"),
+        ("bounds", "p", '{"N": 10, "k": NaN}', "k must be an integer, got nan"),
     ])
     def test_non_finite_integer_exits_2_naming_it(self, tmp_path, capsys, command,
                                                   variable, fixed, message):
         path = write_sweep(tmp_path / "sweep.json", (
             f'{{"command": "{command}", "variable": "{variable}", '
             f'"range": [0.5, 0.6, 0.1], "fixed": {fixed}}}'))
+        code = main(["sweep", path])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (2, "", f"error: {message}\n")
+
+    # int() and float() name no parameter for a string, None or a list, and
+    # float() of a JSON integer past the float range raises OverflowError
+    @pytest.mark.parametrize("command, variable, fixed, message", [
+        ("bounds", "p", '{"N": "ten", "k": 2}',
+         "steps must be a positive integer, got 'ten'"),
+        ("bounds", "p", '{"N": 10, "k": "2"}', "k must be an integer, got '2'"),
+        ("bounds", "p", '{"N": null, "k": 2}',
+         "steps must be a positive integer, got None"),
+        ("fraction", "q", '{"p": null}', "p is not a number: None"),
+        ("fraction", "q", '{"p": "abc"}', "p is not a number: 'abc'"),
+        ("fraction", "q", '{"p": 0.5, "alpha": "x"}', "alpha is not a number: 'x'"),
+        ("sensitivity", "p", '{"mode": "fraction", "eps": [0.1]}',
+         "eps is not a number: [0.1]"),
+        ("kq", "Q", '{"f": "x", "N": 10}', "f is not a number: 'x'"),
+        ("fraction", "q", '{"p": 1' + "0" * 400 + "}", "p is beyond the float range"),
+        ("kq", "f", '{"N": 10, "Q": 1' + "0" * 400 + "}",
+         "Q (log-wealth target) is beyond the float range"),
+        ("bounds", "p", '{"N": 1' + "0" * 400 + ', "k": 2}',
+         "steps is beyond the float range"),
+    ], ids=["N-string", "k-string", "N-null", "p-null", "p-string",
+            "alpha-string", "eps-list", "f-string", "p-beyond-float",
+            "Q-beyond-float", "N-beyond-float"])
+    def test_any_value_exits_2_naming_it(self, tmp_path, capsys, command,
+                                         variable, fixed, message):
+        path = write_sweep(tmp_path / "sweep.json", (
+            f'{{"command": "{command}", "variable": "{variable}", '
+            f'"range": [0.5, 0.5, 0.1], "fixed": {fixed}}}'))
         code = main(["sweep", path])
         captured = capsys.readouterr()
         assert (code, captured.out, captured.err) == (2, "", f"error: {message}\n")

@@ -1,6 +1,7 @@
 import functools
 import math
 import re
+import sys
 import time
 
 import mpmath
@@ -43,6 +44,12 @@ class TestWalkSpec:
         with pytest.raises(ValueError):
             WalkSpec(2.5, 0.5)
 
+    def test_steps_within_the_float_range(self):
+        largest = int(sys.float_info.max)
+        assert WalkSpec(largest, 0.5).steps == largest
+        with pytest.raises(ValueError, match="^steps is beyond the float range$"):
+            WalkSpec(10 ** 400, 0.5)
+
     def test_rejects_boundary_bias(self):
         with pytest.raises(ValueError):
             WalkSpec(10, 0.0)
@@ -50,8 +57,10 @@ class TestWalkSpec:
             WalkSpec(10, 1.0)
 
 
-# int() of inf or NaN raises an error that names no parameter
-@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, 2.5])
+# int() of inf, NaN or a string raises an error that names no parameter,
+# and a string, None or a list would reach a raw comparison
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, 2.5,
+                                   "ten", None, [3], "10"])
 @pytest.mark.parametrize("call, message", [
     (lambda v: WalkSpec(v, 0.5), "steps must be a positive integer"),
     (lambda v: binomial_pmf(WalkSpec(10, 0.5), v),
@@ -83,10 +92,10 @@ class TestBinomialPmf:
         assert abs(total - 1.0) < 1e-12
 
     def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            binomial_pmf(WalkSpec(10, 0.5), 11)
-        with pytest.raises(ValueError):
-            binomial_pmf(WalkSpec(10, 0.5), -1)
+        for k in (11, -1):
+            with pytest.raises(
+                    ValueError, match=rf"^k must be an integer in \[0, 10\], got {k}$"):
+                binomial_pmf(WalkSpec(10, 0.5), k)
 
 
 class TestBinomialCdf:

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -32,21 +33,25 @@ class TestSimConfig:
             SimConfig(WalkSpec(10, 0.5), 0.1, 0, 1)
         with pytest.raises(ValueError):
             SimConfig(WalkSpec(10, 0.5), 0.1, 10, -1)
+        with pytest.raises(ValueError, match="^seed must be"):
+            SimConfig(WalkSpec(10, 0.5), 0.1, 10, 2 ** 64)
 
     def test_rejects_paths_beyond_one_spawn_key_word(self):
         SimConfig(WalkSpec(10, 0.5), 0.1, 2 ** 32 - 1, 1)
         with pytest.raises(ValueError, match="paths"):
             SimConfig(WalkSpec(10, 0.5), 0.1, 2 ** 32, 1)
 
-    # int() of inf or NaN raises an error that names no parameter
-    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, 2.5])
+    # int() of inf, NaN or a string raises an error that names no parameter
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, 2.5,
+                                       "ten", None, [3], "10"])
     @pytest.mark.parametrize("field, message", [
         ("paths", "paths must be a positive integer"),
         ("seed", "seed must be an unsigned 64-bit integer"),
     ])
     def test_integer_field_refused_by_name(self, field, message, value):
         fields = {"paths": 10, "seed": 1, field: value}
-        with pytest.raises(ValueError, match=f"^{message}, got {value!r}$"):
+        with pytest.raises(ValueError,
+                           match=f"^{message}, got {re.escape(repr(value))}$"):
             SimConfig(WalkSpec(10, 0.5), 0.1, **fields)
 
     @pytest.mark.parametrize("threshold", [math.inf, -math.inf, math.nan])

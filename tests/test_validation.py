@@ -1,0 +1,37 @@
+import re
+
+import pytest
+
+from kellymarket._validation import check_finite, check_positive
+from kellymarket.growth import (
+    WalkSpec,
+    sensitivity_bias,
+    sensitivity_fraction,
+    threshold_steps,
+)
+from kellymarket.kelly import odds_to_probability, optimal_fraction_alpha
+from kellymarket.montecarlo import SimConfig
+
+
+# float() raises TypeError, ValueError or OverflowError naming no parameter
+@pytest.mark.parametrize("value, detail", [
+    ("x", "is not a number: 'x'"),
+    (None, "is not a number: None"),
+    ([1], "is not a number: [1]"),
+    (10 ** 400, "is beyond the float range"),
+], ids=["string", "None", "list", "beyond-float"])
+@pytest.mark.parametrize("call, name", [
+    (odds_to_probability, "odds"),
+    (lambda v: optimal_fraction_alpha(0.9, 0.5, v), "alpha"),
+    (lambda v: threshold_steps(v, WalkSpec(10, 0.5), 0.0), "f"),
+    (lambda v: sensitivity_bias(3, WalkSpec(10, 0.6), v), "eps"),
+    (lambda v: sensitivity_fraction(0.6, v), "eps"),
+    (lambda v: SimConfig(WalkSpec(10, 0.5), v, 10, 1), "fraction"),
+    (lambda v: check_finite(v, "Q"), "Q"),
+    (lambda v: check_positive(v, "capital"), "capital"),
+], ids=["odds", "alpha", "threshold_f", "sensitivity_bias_eps",
+        "sensitivity_fraction_eps", "sim_fraction", "check_finite",
+        "check_positive"])
+def test_real_parameter_refused_by_name(call, name, value, detail):
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{name} {detail}')}$"):
+        call(value)
