@@ -15,12 +15,12 @@ A :class:`MarketPopulation` is two read-only arrays, capitals and beliefs;
 each :class:`Investor` is checked once, when the population is built.
 Sums run in units of a power of two that puts the largest capital in
 [1, 2), so any capitals in the float range give their unit-scale bits.
+numpy is imported only by the functions that build or scan those arrays;
+the two-investor closed forms at the end run without it.
 """
 
 import math
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from ._validation import check_positive, check_probability
 from .kelly import _kelly_fraction, optimal_fraction
@@ -69,10 +69,12 @@ class MarketPopulation:
     """Investors as read-only ``capitals`` and ``beliefs`` arrays, in the
     order given; populations of equal investors are equal."""
 
-    capitals: np.ndarray
-    beliefs: np.ndarray
+    # strings, so that importing the module does not import numpy
+    capitals: "np.ndarray"
+    beliefs: "np.ndarray"
 
     def __init__(self, investors):
+        import numpy as np
         inv = tuple(investors)
         if not inv:
             raise ValueError("population must contain at least one investor")
@@ -88,6 +90,7 @@ class MarketPopulation:
         self._hold(state["capitals"], state["beliefs"])
 
     def __eq__(self, other):
+        import numpy as np
         return (other.__class__ is self.__class__
                 and np.array_equal(self.capitals, other.capitals)
                 and np.array_equal(self.beliefs, other.beliefs))
@@ -106,6 +109,7 @@ class MarketPopulation:
 
     def scaled(self, factor):
         """Every capital multiplied by ``factor``; beliefs unchanged."""
+        import numpy as np
         factor = check_positive(factor, "factor")
         with np.errstate(over="ignore"):
             capitals = self.capitals * factor
@@ -121,6 +125,7 @@ def _in_units(capitals):
     """``capitals`` in units of 2^(e - 1) dollars, which put the largest in
     [1, 2), and that unit: exact, so no sum or ratio taken in these units
     moves a bit, and none over- or underflows."""
+    import numpy as np
     e = math.frexp(capitals.max())[1]
     return np.ldexp(capitals, 1 - e), math.ldexp(1.0, e - 1)
 
@@ -151,11 +156,13 @@ def signed_exposure(inv, p):
 
 
 def _aggregate(capitals, beliefs, p):
+    import numpy as np
     return math.fsum(memoryview(capitals * _kelly_fraction(beliefs, p, np.where)))
 
 
 def aggregate_exposure(pop, p):
     """Sum of signed exposures over the population at price ``p``."""
+    import numpy as np
     p = check_probability(p, "p", open_interval=True)
     return _dollar_sum(pop.capitals, _kelly_fraction(pop.beliefs, p, np.where),
                        "aggregate exposure")
@@ -181,6 +188,7 @@ def _clearing_root(capitals, beliefs):
     root near 0.  Which half holds the root only matters for precision,
     so a plain sum decides it.
     """
+    import numpy as np
     order = np.argsort(beliefs)
     q, c = beliefs[order], capitals[order]
     if (c * _kelly_fraction(q, 0.5, np.where)).sum() > 0.0:
@@ -200,6 +208,7 @@ def _segment_root(c, q):
     segment ending there holds the root, and that segment's coefficients
     are summed again exactly rounded before the root is taken.
     """
+    import numpy as np
     cq = c * q
     # beliefs strictly inside the bracket are the only possible segment ends
     first = int(np.searchsorted(q, _PRICE_LO, side="right"))
@@ -249,6 +258,7 @@ def clearing_price(pop, tol=None):
     volume.  Raises :class:`NoInteriorClearing` when exposure has the same
     sign across the whole interior bracket.  Capitals may span the float range.
     """
+    import numpy as np
     (capitals, unit), beliefs = _in_units(pop.capitals), pop.beliefs
     # the residual's rounding grows with the capital, so the default does
     tol = (1e-9 * math.fsum(memoryview(capitals)) if tol is None

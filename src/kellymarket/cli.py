@@ -254,6 +254,8 @@ def _sweep_points(spec):
     except (TypeError, ValueError):
         raise ValueError(
             f"range must be [start, stop, step], got {bounds!r}") from None
+    except OverflowError:  # a JSON integer past the float range
+        raise ValueError("range holds a number beyond the float range") from None
     if not (math.isfinite(start) and math.isfinite(stop) and step > 0
             and start <= stop):
         raise ValueError(f"bad range [start, stop, step] = {bounds}")

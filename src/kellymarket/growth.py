@@ -12,12 +12,14 @@ within 1e-11 absolute (plus 4 units in the last place where |log P|
 exceeds about 10^4).
 The number of up-steps at which terminal log-wealth hits a threshold Q
 turns those tails into statements about betting strategies.
+
+numpy is imported only by the functions that build pmf terms, so the
+divergence, the two bounds, the threshold and the sensitivities run
+without it.
 """
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from ._validation import as_float, check_finite, check_integer, check_probability
 from .kelly import even_odds_growth_rate
@@ -75,6 +77,7 @@ def _log_pmf_terms_loop(n, p, k_max):
     log, so the only rounding is in the log/multiply; its cost grows as
     about k_max^1.7, so it only serves short horizons.
     """
+    import numpy as np
     log_p, log_1mp = math.log(p), math.log1p(-p)
     out = np.empty(k_max + 1)
     comb = 1
@@ -99,6 +102,7 @@ def _log_pmf_anchor(n, p, m):
     r = min(m, n - m), rounded once together with the two power terms,
     each split exactly.
     """
+    import numpy as np
     r = min(m, n - m)
     i = np.arange(1.0, r + 1.0)
     parts = np.empty(r + 4)
@@ -117,12 +121,16 @@ def _log_pmf_terms_bulk(n, p, k_max):
     the log pmf ratios outward from it, so rounding grows with the
     distance from the anchor, not with n.
     """
+    import numpy as np
     m = min(k_max, math.floor((n + 1) * p))
     anchor = _log_pmf_anchor(n, p, m)
     j = np.arange(1.0, k_max + 1.0)
     # step[j - 1] = log(pmf(j) / pmf(j - 1)) = log((n - j + 1) p / (j (1 - p)))
-    step = (n + 1.0 - j) * (p / (1.0 - p)) / j
-    np.log(step, out=step)
+    # a ratio past the float range either way, near N = 1e308 or at a
+    # subnormal p, is a term that cannot move the sum: its log is +-inf
+    with np.errstate(over="ignore", divide="ignore"):
+        step = (n + 1.0 - j) * (p / (1.0 - p)) / j
+        np.log(step, out=step)
     out = np.empty(k_max + 1)
     out[m] = anchor
     if m > 0:
@@ -168,6 +176,9 @@ def log_binomial_cdf(spec, k):
     build = _log_pmf_terms_loop if n <= LOOP_MAX_STEPS else _log_pmf_terms_bulk
     terms = build(n, spec.bias, kf)
     m = terms.max()
+    if m == -math.inf:  # every term underflows, the largest too
+        return -math.inf
+    import numpy as np
     # rounding can nudge a near-complete sum past 1; clamp at log(1) = 0
     return min(float(m + math.log(np.exp(terms - m).sum())), 0.0)
 

@@ -19,14 +19,14 @@ The engine never builds those objects per path.  It works in two stages:
 
 Both kernels reproduce numpy's streams bit for bit, so a result depends
 only on the config.  The ``workers`` argument is accepted for
-compatibility and has no effect.
+compatibility and has no effect.  numpy is imported by the functions
+that build arrays, when a run starts; building and checking a
+:class:`SimConfig` needs none.
 """
 
 import math
 from dataclasses import dataclass
 from typing import Optional
-
-import numpy as np
 
 from ._validation import as_float, check_finite, check_integer
 from .growth import WalkSpec, prob_growth_below
@@ -147,6 +147,7 @@ def _philox_keys(seed, start, stop):
     zero-pads it to four before it appends the spawn key, so the mixed
     pool before the index word is ``SeedSequence(seed).pool``.
     """
+    import numpy as np
     pool = np.random.SeedSequence(seed).pool.tolist()
     index = np.arange(start, stop, dtype=np.uint64).astype(np.uint32)
     pool = [_mix(w, _hashmix(index, _INDEX_CONSTS, j)) for j, w in enumerate(pool)]
@@ -173,6 +174,7 @@ def _below(p):
 def _bulk_up_steps(keys, n, p):
     """Up-step counts from Philox4x64-10 run in numpy: one row per key,
     counter blocks 1..ceil(n/4), four output words per block in order."""
+    import numpy as np
     k0, k1 = (k[:, None] for k in keys)
     x0 = np.arange(1, -(-n // 4) + 1, dtype=np.uint64)[None, :]
     x1 = x2 = x3 = np.zeros((1, 1), dtype=np.uint64)  # broadcast until mixed
@@ -193,6 +195,7 @@ def _bulk_up_steps(keys, n, p):
 def _native_up_steps(keys, n, p):
     """Up-step counts from numpy's own Philox, set to each key's fresh
     stream (zero counter, empty buffer) through its state setter."""
+    import numpy as np
     bitgen = np.random.Philox(0)
     state = {"bit_generator": "Philox",
              "state": {"counter": [0, 0, 0, 0], "key": None},
@@ -210,6 +213,7 @@ def _native_up_steps(keys, n, p):
 def _path_up_steps(walk, paths, seed, path_offset=0):
     """Up-step count per path; path i draws its flips from the Philox
     stream keyed by ``SeedSequence(seed, spawn_key=(path_offset + i,))``."""
+    import numpy as np
     n, p = walk.steps, walk.bias
     if n <= BULK_MAX_STEPS:
         kernel, chunk = _bulk_up_steps, max(1, _CHUNK_ELEMENTS // -(-n // 4))
@@ -235,6 +239,7 @@ def _std_error(values):
 
 
 def _result(config, up_steps, per_step):
+    import numpy as np
     walk = config.walk
     hit = None
     if config.threshold is not None:

@@ -221,6 +221,15 @@ class TestBounds:
         assert (code, captured.out, captured.err) == (
             2, "", "error: steps is beyond the float range\n")
 
+    @pytest.mark.filterwarnings("error")
+    def test_tail_below_the_float_range_exits_2(self, capsys):
+        # every pmf term underflows: the tail is 0 and its rate infinite
+        code = main(["bounds", "--N", "1" + "0" * 308, "--p", "0.99999",
+                     "--k", "0"])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (
+            2, "", "error: rate_per_step is not finite: inf\n")
+
     def test_largest_float_step_count(self, capsys):
         n = int(sys.float_info.max)
         code, out = invoke(capsys, "bounds", "--N", str(n), "--p", "0.5", "--k", "3")
@@ -592,6 +601,19 @@ class TestSweepFileChecks:
         code = main(["sweep", path])
         captured = capsys.readouterr()
         assert (code, captured.out, captured.err) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("position", range(3))
+    def test_range_integer_beyond_the_float_range_exits_2(self, tmp_path, capsys,
+                                                        position):
+        bounds = ["0", "1", "1"]
+        bounds[position] = "1" + "0" * 400
+        path = write_sweep(tmp_path / "sweep.json", (
+            '{"command": "fraction", "variable": "q", '
+            f'"range": [{", ".join(bounds)}], "fixed": {{"p": 0.5}}}}'))
+        code = main(["sweep", path])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (
+            2, "", f"error: {path}: range holds a number beyond the float range\n")
 
     def test_grid_cap(self, tmp_path, capsys):
         spec = {"command": "kq", "variable": "Q", "fixed": {"f": 0.5, "N": 10},

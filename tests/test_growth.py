@@ -3,6 +3,7 @@ import math
 import re
 import sys
 import time
+import warnings
 
 import mpmath
 import numpy as np
@@ -143,6 +144,21 @@ class TestBinomialCdf:
         for func in (log_binomial_cdf, binomial_cdf, rate_per_step):
             with pytest.raises(ValueError, match=r"\bk\b"):
                 func(spec, math.nan)
+
+    # at N = 1e308 and p = 0.99999 every term underflows, the largest too;
+    # the others overflow or underflow a pmf ratio on the way out
+    @pytest.mark.parametrize("n, p, k", [
+        (10 ** 308, 0.99999, 0), (10 ** 308, 0.99999, 5),
+        (9 * 10 ** 307, 0.75, 1), (9 * 10 ** 307, 0.75, 99),
+        (55, 5e-324, 54), (10 ** 6, 5e-324, 999_999),
+    ], ids=["1e308-k0", "1e308-k5", "9e307-k1", "9e307-k99", "N55-subnormal",
+            "N1e6-subnormal"])
+    def test_tails_beyond_the_float_range_warn_nothing(self, n, p, k):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            log_f = log_binomial_cdf(WalkSpec(n, p), k)
+        assert log_f == pytest.approx(mpmath_log_binomial_cdf(n, p, k),
+                                      rel=1e-12, abs=1e-300)
 
     @given(st.integers(min_value=1, max_value=200),
            st.floats(min_value=0.05, max_value=0.95))
