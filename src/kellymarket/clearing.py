@@ -7,9 +7,11 @@ belief: ``c (q - p) / (1 - p)`` for a belief at or above the price and
 ``-c (p - q) / p`` below it.  Multiplied by ``p (1 - p)``, aggregate
 exposure is therefore a quadratic in the price between two consecutive
 sorted beliefs, with coefficients given by prefix sums of capital and
-capital times belief.  :func:`clearing_price` sorts the beliefs once,
-finds the segment where that quadratic changes sign, and returns its
-root there in closed form; no iteration is needed.
+capital times belief.  :func:`clearing_price` sorts the beliefs and takes
+those sums once.  Totals give the default tolerance and the mean belief;
+prefix sums give the sign of exposure at both bracket ends, certified by an
+error bound (else summed exactly), and the segment where the quadratic
+changes sign, whose root is taken in closed form, without iteration.
 
 A :class:`MarketPopulation` is two read-only arrays, capitals and beliefs;
 each :class:`Investor` is checked once, when the population is built.
@@ -168,37 +170,47 @@ def aggregate_exposure(pop, p):
                        "aggregate exposure")
 
 
+def _totals(capitals, weighted, lowest, highest):
+    """Exactly rounded sums of capital and capital times belief, and the mean
+    belief, kept between the extreme beliefs as the exact mean is."""
+    total, weighted = math.fsum(memoryview(capitals)), math.fsum(memoryview(weighted))
+    return total, weighted, min(max(weighted / total, lowest), highest)
+
+
 def mean_belief(pop):
     """Capital-weighted average belief, in [0, 1]; a belief every investor
     holds is returned exactly."""
-    capitals, _ = _in_units(pop.capitals)
-    mean = (math.fsum(memoryview(capitals * pop.beliefs))
-            / math.fsum(memoryview(capitals)))
-    # the exact mean lies between the extreme beliefs; the rounded one may not
-    return min(max(mean, float(pop.beliefs.min())), float(pop.beliefs.max()))
+    (capitals, _), beliefs = _in_units(pop.capitals), pop.beliefs
+    return _totals(capitals, capitals * beliefs,
+                   float(beliefs.min()), float(beliefs.max()))[2]
 
 
-def _clearing_root(capitals, beliefs):
-    """The price in (_PRICE_LO, _PRICE_HI) where aggregate exposure is zero,
-    given that it is positive at the lower end and negative at the upper.
-
-    A root above one half is found as ``1 - u``, with ``u`` the root of the
-    mirrored market (beliefs ``1 - q``, every position swapped for its
-    complement), so that a root near 1 keeps the relative precision of a
-    root near 0.  Which half holds the root only matters for precision,
-    so a plain sum decides it.
-    """
-    import numpy as np
-    order = np.argsort(beliefs)
-    q, c = beliefs[order], capitals[order]
-    if (c * _kelly_fraction(q, 0.5, np.where)).sum() > 0.0:
-        return 1.0 - _segment_root(c[::-1], 1.0 - q[::-1])
-    return _segment_root(c, q)
+def _running_sums(c, q):
+    """``c``, ``q``, ``c * q`` and the running sums of ``c`` and ``c * q``."""
+    cq = c * q
+    return c, q, cq, c.cumsum(), cq.cumsum()
 
 
-def _segment_root(c, q):
-    """:func:`_clearing_root` for capitals ``c`` and beliefs ``q`` sorted by
-    belief.
+def _end_exposure(sums, total, weighted, p):
+    """Aggregate exposure at the bracket end ``p``, or a number of its sign:
+    ``(B - p A) / (1 - p) + (D - p C) / p`` (see :func:`_segment_root`) from
+    the running sums, or the exact sum if that is within its error bound of 0."""
+    c, q, _, sum_c, sum_cq = sums
+    n, d = len(q), 1.0 - p
+    k = int(q.searchsorted(p))  # q[:k] < p <= q[k:]
+    lo_c, lo_cq = (sum_c[k - 1], sum_cq[k - 1]) if k else (0.0, 0.0)
+    hi_c, hi_cq = (total - lo_c, weighted - lo_cq) if k < n else (0.0, 0.0)
+    estimate = (hi_cq - p * hi_c) / d + (lo_cq - p * lo_c) / p
+    # to first order a running sum errs by n 2^-53 of itself, a difference
+    # from the totals by n 2^-53 of the total, an underflowed product by 2^-1075
+    size = (hi_cq + p * hi_c) / d + (lo_cq + p * lo_c) / p + (0 < k < n) * total / d
+    bound = (n + 8) * 2.0 ** -52 * size + n * 2.0 ** -1040
+    return estimate if abs(estimate) > bound else _aggregate(c, q, p)
+
+
+def _segment_root(c, q, cq, sum_c, sum_cq):
+    """The price in (_PRICE_LO, _PRICE_HI) where aggregate exposure, positive
+    at the lower end and negative at the upper, is zero; from :func:`_running_sums`.
 
     With ``C``, ``D`` the capital and capital-times-belief of the investors
     below the price and ``A``, ``B`` those of the investors above it,
@@ -209,12 +221,11 @@ def _segment_root(c, q):
     are summed again exactly rounded before the root is taken.
     """
     import numpy as np
-    cq = c * q
     # beliefs strictly inside the bracket are the only possible segment ends
     first = int(np.searchsorted(q, _PRICE_LO, side="right"))
     stop = int(np.searchsorted(q, _PRICE_HI, side="left"))
-    below_c = np.cumsum(c) - c
-    below_cq = np.cumsum(cq) - cq
+    below_c = sum_c - c
+    below_cq = sum_cq - cq
     qs = q[first:stop]
     lo_c, lo_cq = below_c[first:stop], below_cq[first:stop]
     hi_c, hi_cq = below_c[-1] + c[-1] - lo_c, below_cq[-1] + cq[-1] - lo_cq
@@ -260,35 +271,40 @@ def clearing_price(pop, tol=None):
     """
     import numpy as np
     (capitals, unit), beliefs = _in_units(pop.capitals), pop.beliefs
+    order = np.argsort(beliefs)
+    sums = _running_sums(capitals[order], beliefs[order])
+    c, q, cq = sums[:3]
+    total, weighted, mb = _totals(c, cq, float(q[0]), float(q[-1]))
     # the residual's rounding grows with the capital, so the default does
-    tol = (1e-9 * math.fsum(memoryview(capitals)) if tol is None
-           else check_positive(tol, "tol") / unit)
-    if beliefs.min() == beliefs.max():
+    tol = 1e-9 * total if tol is None else check_positive(tol, "tol") / unit
+    if q[0] == q[-1]:
         q = float(beliefs[0])
         if not 0.0 < q < 1.0:
             raise NoInteriorClearing(
                 f"all beliefs are {q:g}; exposure is one-sided everywhere"
             )
-        zeros = (0.0,) * len(beliefs)
-        return ClearingResult(price=q, exposures=zeros, mean_belief=q,
-                              gap=0.0, residual=0.0)
+        return ClearingResult(q, (0.0,) * len(beliefs), q, gap=0.0, residual=0.0)
 
     lo, hi = _PRICE_LO, _PRICE_HI
-    g_lo = _aggregate(capitals, beliefs, lo)
-    g_hi = _aggregate(capitals, beliefs, hi)
+    g_lo, g_hi = (_end_exposure(sums, total, weighted, p) for p in (lo, hi))
     if g_lo == 0.0:
         price = lo
     elif g_hi == 0.0:
         price = hi
     elif g_lo < 0.0 or g_hi > 0.0:
         # exposure is non-increasing, so same-signed ends mean no root
+        g_lo, g_hi = (_aggregate(c, q, p) for p in (lo, hi))
         raise NoInteriorClearing(
             f"aggregate exposure does not change sign on ({lo:g}, {hi:g}): "
             f"{g_lo * unit:.6g} at the lower end, "
             f"{g_hi * unit:.6g} at the upper end"
         )
+    elif (c * _kelly_fraction(q, 0.5, np.where)).sum() > 0.0:
+        # a root above one half is 1 - the root of the mirrored market (beliefs
+        # 1 - q), as precise as a root near 0; a plain sum picks the half
+        price = 1.0 - _segment_root(*_running_sums(c[::-1], 1.0 - q[::-1]))
     else:
-        price = _clearing_root(capitals, beliefs)
+        price = _segment_root(*sums)
 
     exposures = capitals * _kelly_fraction(beliefs, price, np.where)
     residual = math.fsum(memoryview(exposures))
@@ -297,7 +313,6 @@ def clearing_price(pop, tol=None):
             f"clearing residual {residual * unit:.3g} exceeds tolerance "
             f"{tol * unit:.3g} at price {price:.12g}"
         )
-    mb = mean_belief(pop)
     return ClearingResult(price, tuple((exposures * unit).tolist()), mb,
                           gap=mb - price, residual=residual * unit)
 

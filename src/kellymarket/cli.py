@@ -191,7 +191,7 @@ def load_population(path):
     if stripped.startswith("["):
         try:
             rows = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # an integer past the digit limit, too
             raise ValueError(f"{path}: invalid JSON: {exc}") from None
     else:
         rows = csv.DictReader(io.StringIO(text))
@@ -273,8 +273,16 @@ def _sweep_points(spec):
     return points
 
 
+class _Parser(argparse.ArgumentParser):
+    """Refuses a bad command line, as every other failure, with one
+    ``error:`` line and exit 2; subcommand parsers are of this class too."""
+
+    def error(self, message):
+        self.exit(EXIT_BAD_INPUT, f"error: {message}\n")
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="kellymarket",
         description="Kelly fractions, market clearing, and growth bounds "
                     "for all-or-nothing betting contracts.",

@@ -208,3 +208,102 @@ def bisection_clearing_price(capitals, beliefs):
         if hi - lo <= 1e-13 and abs(g) <= 1e-9:
             break
     return price
+
+
+def multi_pass_clearing_price(pop, tol=None):
+    """``clearing.clearing_price`` as it stood before it cleared a market
+    in one sorted pass: it took the default tolerance, both bracket ends
+    and the mean belief each in a full pass of its own.  The reference for
+    the single pass, which must match it bit for bit, exceptions included.
+    """
+    from kellymarket._validation import check_positive
+    from kellymarket.clearing import ClearingResult, NoInteriorClearing
+
+    def in_units(capitals):
+        e = math.frexp(capitals.max())[1]
+        return np.ldexp(capitals, 1 - e), math.ldexp(1.0, e - 1)
+
+    def kelly(q, p):
+        return (q - p) / np.where(q >= p, 1.0 - p, p)
+
+    def aggregate(capitals, beliefs, p):
+        return fsum(memoryview(capitals * kelly(beliefs, p)))
+
+    def mean_belief():
+        capitals, _ = in_units(pop.capitals)
+        mean = (fsum(memoryview(capitals * pop.beliefs))
+                / fsum(memoryview(capitals)))
+        return min(max(mean, float(pop.beliefs.min())), float(pop.beliefs.max()))
+
+    def clearing_root(capitals, beliefs):
+        order = np.argsort(beliefs)
+        q, c = beliefs[order], capitals[order]
+        if (c * kelly(q, 0.5)).sum() > 0.0:
+            return 1.0 - segment_root(c[::-1], 1.0 - q[::-1])
+        return segment_root(c, q)
+
+    def segment_root(c, q):
+        cq = c * q
+        first = int(np.searchsorted(q, 1e-9, side="right"))
+        stop = int(np.searchsorted(q, 1.0 - 1e-9, side="left"))
+        below_c = np.cumsum(c) - c
+        below_cq = np.cumsum(cq) - cq
+        qs = q[first:stop]
+        lo_c, lo_cq = below_c[first:stop], below_cq[first:stop]
+        hi_c, hi_cq = below_c[-1] + c[-1] - lo_c, below_cq[-1] + cq[-1] - lo_cq
+        values = ((lo_c - hi_c) * qs + (hi_cq - lo_c - lo_cq)) * qs + lo_cq
+        crossed = np.flatnonzero(values <= 0.0)
+        k = first + int(crossed[0]) if crossed.size else stop
+        upper = float(q[k]) if k < stop else 1.0 - 1e-9
+        m = int(np.searchsorted(q, upper, side="left"))
+        lower = float(q[m - 1]) if m > first else 1e-9
+        lo_c, hi_c = fsum(memoryview(c[:m])), fsum(memoryview(c[m:]))
+        lo_cq, hi_cq = fsum(memoryview(cq[:m])), fsum(memoryview(cq[m:]))
+        return quadratic_root(fsum((lo_c, -hi_c)), fsum((hi_cq, -lo_c, -lo_cq)),
+                              lo_cq, lower, upper)
+
+    def quadratic_root(a2, a1, a0, lower, upper):
+        root_disc = math.sqrt(max(a1 * a1 - 4.0 * a2 * a0, 0.0))
+        t = -0.5 * (a1 + math.copysign(root_disc, a1))
+        if t == 0.0:
+            roots = (0.0,)
+        elif a2 == 0.0:
+            roots = (a0 / t,)
+        else:
+            roots = (a0 / t, t / a2)
+        best = min(roots, key=lambda r: max(lower - r, r - upper))
+        return min(max(best, lower), upper)
+
+    (capitals, unit), beliefs = in_units(pop.capitals), pop.beliefs
+    tol = (1e-9 * fsum(memoryview(capitals)) if tol is None
+           else check_positive(tol, "tol") / unit)
+    if beliefs.min() == beliefs.max():
+        q = float(beliefs[0])
+        if not 0.0 < q < 1.0:
+            raise NoInteriorClearing(
+                f"all beliefs are {q:g}; exposure is one-sided everywhere")
+        return ClearingResult(price=q, exposures=(0.0,) * len(beliefs),
+                              mean_belief=q, gap=0.0, residual=0.0)
+    lo, hi = 1e-9, 1.0 - 1e-9
+    g_lo = aggregate(capitals, beliefs, lo)
+    g_hi = aggregate(capitals, beliefs, hi)
+    if g_lo == 0.0:
+        price = lo
+    elif g_hi == 0.0:
+        price = hi
+    elif g_lo < 0.0 or g_hi > 0.0:
+        raise NoInteriorClearing(
+            f"aggregate exposure does not change sign on ({lo:g}, {hi:g}): "
+            f"{g_lo * unit:.6g} at the lower end, "
+            f"{g_hi * unit:.6g} at the upper end")
+    else:
+        price = clearing_root(capitals, beliefs)
+    exposures = capitals * kelly(beliefs, price)
+    residual = fsum(memoryview(exposures))
+    if abs(residual) > tol:
+        raise ValueError(
+            f"clearing residual {residual * unit:.3g} exceeds tolerance "
+            f"{tol * unit:.3g} at price {price:.12g}")
+    mb = mean_belief()
+    return ClearingResult(price, tuple((exposures * unit).tolist()), mb,
+                          gap=mb - price, residual=residual * unit)

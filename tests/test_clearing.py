@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from kellymarket import clearing
 from kellymarket.clearing import (
     Investor,
     MarketPopulation,
@@ -24,7 +25,11 @@ from kellymarket.clearing import (
 )
 from kellymarket.clearing import _quadratic_root
 
-from oracles import bisection_clearing_price, kelly_exposure
+from oracles import (
+    bisection_clearing_price,
+    kelly_exposure,
+    multi_pass_clearing_price,
+)
 
 
 def pop(*pairs):
@@ -536,3 +541,91 @@ class TestClosedFormSolver:
         elapsed = time.perf_counter() - start
         assert abs(result.residual) <= tol
         assert elapsed < 1.5
+
+
+# beliefs at, just inside and just outside the ends of the price bracket
+_BRACKET_BELIEFS = np.array([0.0, 1.0, 1e-9, 1.0 - 1e-9, 5e-10])
+
+
+def _oracle_markets(rng, count):
+    """Seeded capitals and beliefs, eight kinds in turn: uniform beliefs,
+    a share at the bracket beliefs, only bracket beliefs, one shared
+    belief, equal capital on beliefs 0 and 1 (the lower end clears exactly;
+    a nudge or a little capital inside brings it near zero), every belief
+    on one side of a bracket end, a tight cluster, and only beliefs 0 and
+    1.  Capitals are shifted by 10^300 or 10^-300 a third of the time each."""
+    for i in range(count):
+        n = int(rng.integers(2, 41))
+        capitals = rng.pareto(1.5, n) + rng.uniform(0.01, 1.0)
+        beliefs = rng.uniform(0.0, 1.0, n)
+        kind = i % 8
+        if kind == 1:
+            some = rng.random(n) < 0.4
+            beliefs[some] = rng.choice(_BRACKET_BELIEFS, some.sum())
+        elif kind == 2:
+            beliefs = rng.choice(_BRACKET_BELIEFS, n)
+        elif kind == 3:
+            beliefs = np.full(n, rng.choice([rng.uniform(), 0.0, 1.0, 1e-9]))
+        elif kind == 4:
+            half = n // 2
+            beliefs[:half], beliefs[half:2 * half] = 0.0, 1.0
+            capitals[:2 * half] = 1.0
+            capitals[2 * half:] *= rng.choice([1.0, 1e-6, 1e-12])
+            if rng.random() < 0.5:
+                capitals[0] = np.nextafter(1.0, rng.choice([0.0, 2.0]))
+        elif kind == 5:
+            beliefs = rng.choice([0.0, 5e-10] if rng.random() < 0.5
+                                 else [1.0, 1.0 - 5e-10], n)
+        elif kind == 6:
+            beliefs = np.clip(rng.normal(rng.uniform(0.2, 0.8), 0.01, n), 0.0, 1.0)
+        elif kind == 7:
+            beliefs = rng.integers(0, 2, n).astype(float)
+        yield capitals * rng.choice([1.0, 1e300, 1e-300]), beliefs
+
+
+def _outcome(solve, market, tol):
+    """A result's bits, or the type and message of what was raised."""
+    try:
+        result = solve(market, tol)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return tuple(x.hex() for x in (result.price, result.mean_belief, result.gap,
+                                   result.residual, *result.exposures))
+
+
+class TestSinglePass:
+    def test_matches_the_multi_pass_solver_bit_for_bit(self):
+        seen = set()
+        for capitals, beliefs in _oracle_markets(np.random.default_rng(2024), 3000):
+            market = pop(*zip(capitals.tolist(), beliefs.tolist()))
+            for tol in (None, 1e-9, 1e300):
+                got = _outcome(clearing_price, market, tol)
+                assert got == _outcome(multi_pass_clearing_price, market, tol), \
+                    (capitals.tolist(), beliefs.tolist(), tol)
+                seen.add(got[0] if isinstance(got[0], type) else
+                         "lower end" if got[0] == (1e-9).hex() else "interior")
+        assert seen == {NoInteriorClearing, ValueError, "lower end", "interior"}
+
+    def test_reads_an_interior_market_in_one_pass(self, monkeypatch):
+        # beliefs inside the bracket: the prefix sums settle both ends
+        rng = np.random.default_rng(7)
+        n = 200
+        market = pop(*zip(rng.pareto(1.5, n) + 1.0, rng.uniform(0.01, 0.99, n)))
+        want = clearing_price(market)
+        fsum, lengths = math.fsum, []
+
+        def counted(values):
+            lengths.append(len(values))
+            return fsum(values)
+
+        def refused(*args):
+            raise AssertionError("a second pass over the population")
+
+        monkeypatch.setattr(clearing, "_aggregate", refused)
+        monkeypatch.setattr(clearing, "mean_belief", refused)
+        monkeypatch.setattr(math, "fsum", counted)
+        assert clearing_price(market) == want
+        # the two totals and the residual over all n, and the four
+        # coefficient sums split at the root's segment: 5n values in all
+        assert lengths.count(n) <= 5
+        assert sum(length for length in lengths if length > 3) == 5 * n

@@ -169,6 +169,11 @@ class TestClear:
         pytest.param("pop.json", '[{"capital": 1' + "0" * 400 + ', "belief": 0.5}]',
                      ": row 1: capital is beyond the float range\n",
                      id="json-integer-beyond-the-float-range"),
+        # json.loads refuses an integer past the int-string digit limit
+        # with a plain ValueError, not a JSONDecodeError
+        pytest.param("pop.json", '[{"capital": 1' + "0" * 5000 + ', "belief": 0.5}]',
+                     ": invalid JSON: Exceeds the limit",
+                     id="json-integer-past-the-digit-limit"),
     ])
     def test_bad_contents_exit_2_naming_the_file(self, tmp_path, capsys, name,
                                                  text, detail):
@@ -349,6 +354,27 @@ def run_cli_exit(*argv):
         except SystemExit as exc:
             code = exc.code
     return code, out.getvalue(), err.getvalue()
+
+
+class TestCommandLineRefusals:
+    """What argparse refuses prints one ``error:`` line, like every other
+    failure, and no usage line."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (("bounds", "--N", "x", "--p", "0.5", "--k", "3"),
+         "argument --N: invalid int value: 'x'"),
+        (("bounds", "--p", "0.5", "--k", "3"),
+         "the following arguments are required: --N"),
+        (("--csv", "--json", "fraction", "--q", "0.6", "--p", "0.5"),
+         "argument --json: not allowed with argument --csv"),
+    ])
+    def test_one_error_line_and_exit_2(self, argv, message):
+        assert run_cli_exit(*argv) == (2, "", f"error: {message}\n")
+
+    def test_help_still_exits_0(self):
+        code, out, err = run_cli_exit("bounds", "--help")
+        assert (code, err) == (0, "")
+        assert out.startswith("usage: kellymarket bounds")
 
 
 class TestNegativeValues:
