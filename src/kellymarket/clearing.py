@@ -299,9 +299,9 @@ def clearing_price(pop, tol=None):
             f"{g_lo * unit:.6g} at the lower end, "
             f"{g_hi * unit:.6g} at the upper end"
         )
-    elif (c * _kelly_fraction(q, 0.5, np.where)).sum() > 0.0:
+    elif _end_exposure(sums, total, weighted, 0.5) > 0.0:
         # a root above one half is 1 - the root of the mirrored market (beliefs
-        # 1 - q), as precise as a root near 0; a plain sum picks the half
+        # 1 - q), as precise as a root near 0; the sign at one half picks it
         price = 1.0 - _segment_root(*_running_sums(c[::-1], 1.0 - q[::-1]))
     else:
         price = _segment_root(*sums)

@@ -141,10 +141,20 @@ def _record_clear(population_file, tol=None):
             "exposures": list(result.exposures)}
 
 
+def _int_or_inf(token):
+    """A JSON integer; one past Python's digit limit for ``int`` reads as
+    the infinity it overflows to, as ``1e5000`` does, so that the
+    parameter's own check refuses it by name."""
+    try:
+        return int(token)
+    except ValueError:
+        return float(token)
+
+
 def _record_sweep(sweep_file):
     with open(sweep_file, encoding="utf-8") as fh:
         try:
-            points = _sweep_points(json.load(fh))
+            points = _sweep_points(json.load(fh, parse_int=_int_or_inf))
         except ValueError as exc:  # invalid JSON included
             raise ValueError(f"{sweep_file}: {exc}") from None
     return [point() for point in points]

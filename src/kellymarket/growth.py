@@ -12,6 +12,8 @@ within 1e-11 absolute (plus 4 units in the last place where |log P|
 exceeds about 10^4).
 The number of up-steps at which terminal log-wealth hits a threshold Q
 turns those tails into statements about betting strategies.
+D and both misjudgment losses are sums of deviances x log(x/m) + m - x
+from one core, :func:`_bd0`, so none of them cancels at a small edge.
 
 numpy is imported only by the functions that build pmf terms, so the
 divergence, the two bounds, the threshold and the sensitivities run
@@ -22,7 +24,6 @@ import math
 from dataclasses import dataclass
 
 from ._validation import as_float, check_finite, check_integer, check_probability
-from .kelly import even_odds_growth_rate
 
 __all__ = [
     "WalkSpec",
@@ -189,19 +190,26 @@ def binomial_cdf(spec, k):
     return math.exp(log_binomial_cdf(spec, k))
 
 
+def _bd0(x, m, d):
+    """Deviance ``x log(x/m) + m - x`` >= 0 of x >= 0 from m > 0, given
+    ``d = x - m`` exactly.  The direct form cancels near x = m, where Loader's
+    series in v = d/(x + m), d v + 2 x v (v^2/3 + v^4/5 + ...), does not."""
+    if abs(d) < 0.5 * (x + m):
+        v = d / (x + m)
+        tail, term, j = 0.0, v * v, 3
+        while tail + term / j != tail:
+            tail, term, j = tail + term / j, term * v * v, j + 2
+        return d * v + 2.0 * x * v * tail
+    r = x / m if x else 1.0  # 0 log 0 = 0; x / m overflows at a subnormal m
+    return x * (math.log(r) if r < math.inf else math.log(x) - math.log(m)) - d
+
+
 def kl_divergence(a, p):
     """Relative entropy D(a || p) between Bernoulli(a) and Bernoulli(p),
     with the 0 log 0 = 0 convention; >= 0 and zero only at a = p."""
     a = check_probability(a, "a")
     p = check_probability(p, "p", open_interval=True)
-    d = 0.0
-    if a > 0.0:
-        ratio = a / p  # overflows only at a subnormal p
-        d += a * (math.log(ratio) if ratio < math.inf
-                  else math.log(a) - math.log(p))
-    if a < 1.0:
-        d += (1.0 - a) * math.log((1.0 - a) / (1.0 - p))
-    return d
+    return _bd0(a, p, a - p) + _bd0(1.0 - a, 1.0 - p, p - a)
 
 
 def _check_lower_tail(spec, k, k_min=0):
@@ -276,20 +284,23 @@ def sensitivity_bias(k, spec, eps):
 
     Returns ``(exact, first_order)`` where exact is
     ``D(k/N || p+eps) - D(k/N || p)`` and the linear term is
-    ``(p - k/N) / (p (1-p)) * eps``.
+    ``(p - k/N) / (p (1-p)) * eps``.  While |eps| <= min(p, 1-p), exact is
+    the linear term plus two deviances >= 0, so nothing cancels.
     """
     n, p = spec.steps, spec.bias
     k = check_integer(k, "k", f"an integer in [0, {n}]", 0, n)
     eps = as_float(eps, "eps")
     if not 0.0 < p + eps < 1.0:
         raise ValueError(f"p + eps must stay inside (0, 1), got {p + eps}")
-    a = k / n
-    exact = kl_divergence(a, p + eps) - kl_divergence(a, p)
+    a, t, s = k / n, eps / p, eps / (1.0 - p)
     slope = (p - a) / (p * (1.0 - p))
-    # the slope overflows at a subnormal p, where eps / p need not
-    first_order = (slope * eps if math.isfinite(slope)
-                   else (p - a) * (eps / p) / (1.0 - p))
-    return exact, first_order
+    # the slope overflows at a subnormal p, where t = eps / p need not
+    first_order = slope * eps if math.isfinite(slope) else (p - a) * t / (1.0 - p)
+    if max(abs(t), abs(s)) > 1.0:  # exact = -a log(1 + t) - (1 - a) log(1 - s)
+        log_ratio = math.log1p(t) if t < math.inf else math.log(p + eps) - math.log(p)
+        return -a * log_ratio - (1.0 - a) * math.log1p(-s), first_order
+    return (first_order + a * _bd0(1.0, 1.0 + t, -t)
+            + (1.0 - a) * _bd0(1.0, 1.0 - s, s)), first_order
 
 
 def sensitivity_fraction(p, eps):
@@ -297,16 +308,17 @@ def sensitivity_fraction(p, eps):
     2p - 1 by ``eps``.
 
     Returns ``(exact, quadratic)``: the exact difference
-    ``U(p, 2p-1+eps) - U(p, 2p-1)`` (always <= 0) and its leading term
-    ``-eps^2 / (8 p (1-p))``.  At p = 1/2 the exact value collapses to
-    ``log(1 - eps^2) / 2``, which pins the coefficient.
+    ``U(p, 2p-1+eps) - U(p, 2p-1)`` (minus half of two deviances, so <= 0)
+    and its leading term ``-eps^2 / (8 p (1-p))``.  At p = 1/2 the exact
+    value collapses to ``log(1 - eps^2) / 2``, which pins the coefficient.
     """
     p = check_probability(p, "p", open_interval=True)
     eps = as_float(eps, "eps")
     f_star = kelly_fraction_even_odds(p)
     if not -1.0 < f_star + eps < 1.0:
         raise ValueError(f"2p-1+eps must stay inside (-1, 1), got {f_star + eps}")
-    exact = even_odds_growth_rate(p, f_star + eps) - even_odds_growth_rate(p, f_star)
+    up, down = 2.0 * p, 2.0 - 2.0 * p  # 1 + f and 1 - f at f = 2p - 1
+    exact = -(_bd0(up, up + eps, -eps) + _bd0(down, down - eps, eps)) / 2.0
     quadratic = -eps * eps / (8.0 * p * (1.0 - p))
     return exact, quadratic
 

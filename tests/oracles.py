@@ -4,9 +4,10 @@ Nothing here imports the closed forms it is used to check: utilities are
 maximized by brute-force grid search, tail probabilities are summed in
 exact rational arithmetic, derivatives come from finite differences,
 Monte Carlo streams are drawn through numpy's own SeedSequence and Philox,
-clearing prices are found by bisection, and large-N binomial tails are
+clearing prices are found by bisection, large-N binomial tails are
 summed in 50-digit mpmath arithmetic or with exact big-integer
-coefficients.
+coefficients, and divergences are taken from their textbook forms in
+400-digit arithmetic.
 """
 
 import math
@@ -139,6 +140,46 @@ def mpmath_log_binomial_pmf(n, p, k):
         P = mpmath.mpf(p)
         return float(mpmath.log(mpmath.binomial(n, k))
                      + k * mpmath.log(P) + (n - k) * mpmath.log(1 - P))
+
+
+# 400 digits (1,329 bits) hold 1 - p and p + eps exactly for any doubles
+# in (0, 1), which need at most 1,075 bits, and leave an absolute error
+# near 1e-397, far below the smallest double, after the textbook forms
+# below cancel.  A 60-digit reference rounds 1 - 1e-300 to 1 and gives
+# negative divergences.
+DIVERGENCE_DPS = 400
+
+
+def _mp_kl(a, p):
+    """D(a || p) for mpf a and p, with 0 log 0 = 0."""
+    d = a * mpmath.log(a / p) if a else mpmath.mpf(0)
+    return d + ((1 - a) * mpmath.log((1 - a) / (1 - p)) if a != 1 else 0)
+
+
+def mpmath_kl_divergence(a, p):
+    """D(a || p) between Bernoulli(a) and Bernoulli(p) at the exact binary
+    values of a and p, in :data:`DIVERGENCE_DPS`-digit arithmetic."""
+    with mpmath.workdps(DIVERGENCE_DPS):
+        return _mp_kl(mpmath.mpf(a), mpmath.mpf(p))
+
+
+def mpmath_bias_sensitivity(a, p, eps):
+    """``D(a || p + eps) - D(a || p)`` with p + eps summed exactly."""
+    with mpmath.workdps(DIVERGENCE_DPS):
+        a, p = mpmath.mpf(a), mpmath.mpf(p)
+        return _mp_kl(a, p + mpmath.mpf(eps)) - _mp_kl(a, p)
+
+
+def mpmath_fraction_sensitivity(p, eps):
+    """``U(2p - 1 + eps) - U(2p - 1)`` for the even-odds growth rate
+    ``U(f) = p log(1 + f) + (1 - p) log(1 - f)``, f summed exactly."""
+    with mpmath.workdps(DIVERGENCE_DPS):
+        p, eps = mpmath.mpf(p), mpmath.mpf(eps)
+
+        def growth(f):
+            return p * mpmath.log(1 + f) + (1 - p) * mpmath.log(1 - f)
+
+        return growth(2 * p - 1 + eps) - growth(2 * p - 1)
 
 
 def central_difference(func, x, h):

@@ -597,8 +597,9 @@ class TestSweepFileChecks:
         captured = capsys.readouterr()
         assert (code, captured.out, captured.err) == (2, "", f"error: {message}\n")
 
-    # int() and float() name no parameter for a string, None or a list, and
-    # float() of a JSON integer past the float range raises OverflowError
+    # int() and float() name no parameter for a string, None or a list,
+    # float() of a JSON integer past the float range raises OverflowError,
+    # and int() of one past Python's digit limit raises ValueError
     @pytest.mark.parametrize("command, variable, fixed, message", [
         ("bounds", "p", '{"N": "ten", "k": 2}',
          "steps must be a positive integer, got 'ten'"),
@@ -616,9 +617,15 @@ class TestSweepFileChecks:
          "Q (log-wealth target) is beyond the float range"),
         ("bounds", "p", '{"N": 1' + "0" * 400 + ', "k": 2}',
          "steps is beyond the float range"),
+        ("fraction", "q", '{"p": 1' + "0" * 5000 + "}", "p must be finite, got inf"),
+        ("bounds", "p", '{"N": 1' + "0" * 5000 + ', "k": 2}',
+         "steps must be a positive integer, got inf"),
+        ("bounds", "p", '{"N": 10, "k": -1' + "0" * 5000 + "}",
+         "k must be an integer, got -inf"),
     ], ids=["N-string", "k-string", "N-null", "p-null", "p-string",
             "alpha-string", "eps-list", "f-string", "p-beyond-float",
-            "Q-beyond-float", "N-beyond-float"])
+            "Q-beyond-float", "N-beyond-float", "p-past-digit-limit",
+            "N-past-digit-limit", "k-past-digit-limit"])
     def test_any_value_exits_2_naming_it(self, tmp_path, capsys, command,
                                          variable, fixed, message):
         path = write_sweep(tmp_path / "sweep.json", (

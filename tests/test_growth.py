@@ -1,4 +1,5 @@
 import functools
+import itertools
 import math
 import re
 import sys
@@ -8,7 +9,7 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from kellymarket.growth import (
@@ -30,9 +31,13 @@ from kellymarket.growth import (
 )
 
 from oracles import (
+    DIVERGENCE_DPS,
     big_integer_log_binomial_cdf,
     even_odds_argmax,
     exact_binomial_cdf,
+    mpmath_bias_sensitivity,
+    mpmath_fraction_sensitivity,
+    mpmath_kl_divergence,
     mpmath_log_binomial_cdf,
     mpmath_log_binomial_pmf,
 )
@@ -413,6 +418,102 @@ class TestSensitivityFraction:
     def test_rejects_out_of_range_fraction(self):
         with pytest.raises(ValueError):
             sensitivity_fraction(0.9, 0.3)
+
+
+# The divergence grid: prices from the smallest subnormal to 1 - 2^-52,
+# and edges from 1e-1 to 1e-300 taken both ways from the price.
+GRID_PRICES = [5e-324, 1e-320, 2.2250738585072014e-308, 1e-300, 1e-200, 1e-100,
+               1e-20, 1e-8, 1e-3, 0.1, 0.25, 0.3, 0.5, 0.6, 0.7, 0.9, 0.999,
+               1.0 - 1e-8, 1.0 - 2.0 ** -52]
+GRID_EDGES = [sign * edge for edge in (1e-1, 1e-2, 1e-4, 1e-8, 1e-16, 1e-30,
+                                       1e-100, 1e-200, 1e-300)
+              for sign in (1.0, -1.0)]
+GRID_OUTCOMES = [(0, 10), (3, 10), (1, 2), (7, 10), (10, 10)]  # (k, N)
+# Units in the last place allowed on every cell, normal or not; the worst
+# cells read 1.57 (divergence), 2.66 (bias) and 1.36 (fraction).
+ULP_BUDGET = 3.0
+
+
+def ulps(got, want, unit=None):
+    """|got - want| in units in the last place of ``unit``, by default of
+    the reference rounded to a double (5e-324 where it underflows)."""
+    with mpmath.workdps(DIVERGENCE_DPS):
+        return float(abs(mpmath.mpf(got) - want)
+                     / math.ulp(float(want if unit is None else unit)))
+
+
+class TestDivergencesAgainstOracle:
+    def test_kl_divergence(self):
+        misses = []
+        for p in GRID_PRICES:
+            for a in (p + edge for edge in GRID_EDGES):
+                if 0.0 <= a <= 1.0:
+                    got = kl_divergence(a, p)
+                    if ulps(got, mpmath_kl_divergence(a, p)) > ULP_BUDGET:
+                        misses.append((a, p, got))
+        assert misses == []
+
+    def test_sensitivity_fraction(self):
+        misses, cells = [], 0
+        for p in GRID_PRICES:
+            for eps in GRID_EDGES:
+                if not -1.0 < (2.0 * p - 1.0) + eps < 1.0:
+                    with pytest.raises(ValueError, match="2p-1"):
+                        sensitivity_fraction(p, eps)
+                    continue
+                cells += 1
+                exact, _ = sensitivity_fraction(p, eps)
+                if ulps(exact, mpmath_fraction_sensitivity(p, eps)) > ULP_BUDGET:
+                    misses.append((p, eps, exact))
+        assert misses == []
+        assert cells > 200
+
+    def test_sensitivity_bias(self):
+        # Where k/N lies strictly between p and p + eps, exact changes sign
+        # and is a difference of two divergences of about the size of
+        # first_order, so those cells are held to the budget in units of
+        # first_order's last place.
+        misses, cells = [], 0
+        for (k, n), p, eps in itertools.product(GRID_OUTCOMES, GRID_PRICES,
+                                                GRID_EDGES):
+            if not 0.0 < p + eps < 1.0:
+                with pytest.raises(ValueError, match="p \\+ eps"):
+                    sensitivity_bias(k, WalkSpec(n, p), eps)
+                continue
+            cells += 1
+            exact, first_order = sensitivity_bias(k, WalkSpec(n, p), eps)
+            a = k / n
+            crossing = min(p, p + eps) < a < max(p, p + eps)
+            err = ulps(exact, mpmath_bias_sensitivity(a, p, eps),
+                       first_order if crossing else None)
+            if err > ULP_BUDGET:
+                misses.append((k, n, p, eps, exact))
+        assert misses == []
+        assert cells > 1000
+
+
+PRICES = st.floats(5e-324, 1.0 - 2.0 ** -52)
+EDGES = st.builds(lambda e, sign: sign * e, st.floats(1e-300, 1.0),
+                  st.sampled_from([1.0, -1.0]))
+
+
+class TestLossSigns:
+    @given(p=PRICES, eps=EDGES)
+    @settings(max_examples=300, deadline=None)
+    def test_fraction_loss_is_never_positive(self, p, eps):
+        assume(-1.0 < (2.0 * p - 1.0) + eps < 1.0)
+        assert sensitivity_fraction(p, eps)[0] <= 0.0
+
+    @given(n=st.integers(1, 1000), data=st.data(), p=PRICES, eps=EDGES)
+    @settings(max_examples=300, deadline=None)
+    def test_bias_remainder_is_never_negative(self, n, data, p, eps):
+        # within |eps| <= min(p, 1 - p), where exact is first_order plus
+        # the remainder
+        eps = math.copysign(min(abs(eps), p, 1.0 - p), eps)
+        assume(0.0 < p + eps < 1.0)
+        k = data.draw(st.integers(0, n))
+        exact, first_order = sensitivity_bias(k, WalkSpec(n, p), eps)
+        assert exact - first_order >= 0.0
 
 
 class TestKellyFractionEvenOdds:
