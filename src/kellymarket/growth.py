@@ -193,15 +193,25 @@ def binomial_cdf(spec, k):
 def _bd0(x, m, d):
     """Deviance ``x log(x/m) + m - x`` >= 0 of x >= 0 from m > 0, given
     ``d = x - m`` exactly.  The direct form cancels near x = m, where Loader's
-    series in v = d/(x + m), d v + 2 x v (v^2/3 + v^4/5 + ...), does not."""
-    if abs(d) < 0.5 * (x + m):
-        v = d / (x + m)
-        tail, term, j = 0.0, v * v, 3
-        while tail + term / j != tail:
-            tail, term, j = tail + term / j, term * v * v, j + 2
-        return d * v + 2.0 * x * v * tail
-    r = x / m if x else 1.0  # 0 log 0 = 0; x / m overflows at a subnormal m
-    return x * (math.log(r) if r < math.inf else math.log(x) - math.log(m)) - d
+    series in v = d/(x + m), d v + 2 x v (v^2/3 + v^4/5 + ...), does not; v
+    is split as vh + dh, with vh of 26 bits, so that d vh is exact."""
+    u = x + m
+    if not -0.6 * u < d < 0.7 * u:  # past these the direct form is closer
+        r = x / m if x else 1.0  # 0 log 0 = 0; x / m overflows at a subnormal m
+        return x * (math.log(r) if r < math.inf else math.log(x) - math.log(m)) - d
+    vh = _exact_product(1.0, d / u)[0]  # d / u cut to 26 bits
+    p1, p2 = _exact_product(vh, u)  # vh u, exactly
+    z = u - x  # x + m = u + (x - (u - z)) + (m - z) exactly
+    dh = (((d - p1) - p2) - vh * ((x - (u - z)) + (m - z))) / u
+    v = vh + dh
+    tail, term, j = 0.0, v * v, 3
+    while tail + term / j != tail:
+        tail, term, j = tail + term / j, term * v * v, j + 2
+    # d vh exactly, d dh, the series at the rounded v, and the series'
+    # slope 2 x v^2 / (1 - v^2) times the rounding (vh + dh) - v
+    q1, q2 = _exact_product(vh, d)
+    return q1 + (q2 + d * dh + 2.0 * x * v * tail
+                 + ((vh - v) + dh) * 2.0 * x * v * v / (1.0 - v * v))
 
 
 def kl_divergence(a, p):
@@ -290,17 +300,20 @@ def sensitivity_bias(k, spec, eps):
     n, p = spec.steps, spec.bias
     k = check_integer(k, "k", f"an integer in [0, {n}]", 0, n)
     eps = as_float(eps, "eps")
-    if not 0.0 < p + eps < 1.0:
+    q = 1.0 - p
+    w = (q - eps) + ((1.0 - q) - p)  # 1 - p - eps, with the rounding of q
+    if not (p + eps > 0.0 and w > 0.0):
         raise ValueError(f"p + eps must stay inside (0, 1), got {p + eps}")
-    a, t, s = k / n, eps / p, eps / (1.0 - p)
-    slope = (p - a) / (p * (1.0 - p))
+    a, t, s = k / n, eps / p, eps / q
+    slope = (p - a) / (p * q)
     # the slope overflows at a subnormal p, where t = eps / p need not
-    first_order = slope * eps if math.isfinite(slope) else (p - a) * t / (1.0 - p)
+    first_order = slope * eps if math.isfinite(slope) else (p - a) * t / q
     if max(abs(t), abs(s)) > 1.0:  # exact = -a log(1 + t) - (1 - a) log(1 - s)
         log_ratio = math.log1p(t) if t < math.inf else math.log(p + eps) - math.log(p)
-        return -a * log_ratio - (1.0 - a) * math.log1p(-s), first_order
-    return (first_order + a * _bd0(1.0, 1.0 + t, -t)
-            + (1.0 - a) * _bd0(1.0, 1.0 - s, s)), first_order
+        log_rest = math.log1p(-s) if s < 0.5 else math.log(w / q)
+        return -a * log_ratio - (1.0 - a) * log_rest, first_order
+    return (first_order + a * _bd0(1.0, (p + eps) / p, -t)
+            + (1.0 - a) * _bd0(1.0, w / q, s)), first_order
 
 
 def sensitivity_fraction(p, eps):
@@ -314,11 +327,11 @@ def sensitivity_fraction(p, eps):
     """
     p = check_probability(p, "p", open_interval=True)
     eps = as_float(eps, "eps")
-    f_star = kelly_fraction_even_odds(p)
-    if not -1.0 < f_star + eps < 1.0:
-        raise ValueError(f"2p-1+eps must stay inside (-1, 1), got {f_star + eps}")
     up, down = 2.0 * p, 2.0 - 2.0 * p  # 1 + f and 1 - f at f = 2p - 1
-    exact = -(_bd0(up, up + eps, -eps) + _bd0(down, down - eps, eps)) / 2.0
+    shrunk = (down - eps) + ((2.0 - down) - up)  # 1 - f - eps, with down's rounding
+    if not (up + eps > 0.0 and shrunk > 0.0):
+        raise ValueError(f"2p-1+eps must stay inside (-1, 1), got {up - 1.0 + eps}")
+    exact = -(_bd0(up, up + eps, -eps) + _bd0(down, shrunk, eps)) / 2.0
     quadratic = -eps * eps / (8.0 * p * (1.0 - p))
     return exact, quadratic
 

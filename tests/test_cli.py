@@ -275,6 +275,21 @@ class TestKqAndSensitivity:
             2.0 * record["quadratic_coefficient"], abs=1e-12
         )
 
+    # 2 - 2p rounds to 1.5 at this p, so 1 - f - eps in floats is 0 and
+    # 2^-52 where it is 2^-53 and 3 * 2^-53; the values are 400-digit
+    # mpmath's, rounded to 15 digits
+    @pytest.mark.parametrize("eps, exact", [
+        ("1.4999999999999996", -27.510125668059),
+        ("1.4999999999999993", -26.6861664515579),
+    ])
+    def test_sensitivity_fraction_next_to_a_full_stake(self, capsys, eps, exact):
+        code, out = invoke(
+            capsys, "sensitivity", "--mode", "fraction",
+            "--p", "0.25000000000000017", "--eps", eps,
+        )
+        assert code == 0
+        assert strict_json_lines(out)[0]["exact"] == exact
+
     def test_sensitivity_bias_at_a_subnormal_price(self, capsys):
         code, out = invoke(
             capsys, "sensitivity", "--mode", "bias", "--N", "10", "--k", "3",

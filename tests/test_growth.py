@@ -5,6 +5,7 @@ import re
 import sys
 import time
 import warnings
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -430,7 +431,7 @@ GRID_EDGES = [sign * edge for edge in (1e-1, 1e-2, 1e-4, 1e-8, 1e-16, 1e-30,
               for sign in (1.0, -1.0)]
 GRID_OUTCOMES = [(0, 10), (3, 10), (1, 2), (7, 10), (10, 10)]  # (k, N)
 # Units in the last place allowed on every cell, normal or not; the worst
-# cells read 1.57 (divergence), 2.66 (bias) and 1.36 (fraction).
+# cells read 1.46 (divergence), 2.66 (bias) and 1.16 (fraction).
 ULP_BUDGET = 3.0
 
 
@@ -457,7 +458,9 @@ class TestDivergencesAgainstOracle:
         misses, cells = [], 0
         for p in GRID_PRICES:
             for eps in GRID_EDGES:
-                if not -1.0 < (2.0 * p - 1.0) + eps < 1.0:
+                # -1 < 2p - 1 + eps < 1, decided exactly: 2p - 1 rounds to
+                # -1 at p = 1e-20 although 2p - 1 + 1e-30 lies inside
+                if not 0 < 2 * Fraction(p) + Fraction(eps) < 2:
                     with pytest.raises(ValueError, match="2p-1"):
                         sensitivity_fraction(p, eps)
                     continue
@@ -466,30 +469,74 @@ class TestDivergencesAgainstOracle:
                 if ulps(exact, mpmath_fraction_sensitivity(p, eps)) > ULP_BUDGET:
                     misses.append((p, eps, exact))
         assert misses == []
-        assert cells > 200
+        assert cells > 250
 
-    def test_sensitivity_bias(self):
-        # Where k/N lies strictly between p and p + eps, exact changes sign
-        # and is a difference of two divergences of about the size of
-        # first_order, so those cells are held to the budget in units of
-        # first_order's last place.
-        misses, cells = [], 0
+    # Next to the end of the range the shrinking argument (1 - f - eps, or
+    # 1 - p - eps) is tiny, and the rounding of 2 - 2p (or 1 - p) in it is
+    # not: at p = 0.25 + 3 * 2^-54, 2 - 2p rounds to 1.5, and with eps =
+    # 1.5 - 2^-51 the loss is finite although 2 - 2p - eps in floats is 0.
+    @pytest.mark.parametrize("p, eps", [
+        (0.25 + 3 * 2.0 ** -54, 1.5 - 2.0 ** -51),
+        (0.25 + 3 * 2.0 ** -54, 1.5 - 3 * 2.0 ** -52),
+        (0.1, math.nextafter(1.8, 0.0)),
+        (0.3, -math.nextafter(0.6, 0.0)),
+    ])
+    def test_sensitivity_fraction_next_to_a_full_stake(self, p, eps):
+        exact, _ = sensitivity_fraction(p, eps)
+        assert ulps(exact, mpmath_fraction_sensitivity(p, eps)) <= ULP_BUDGET
+
+    @pytest.mark.parametrize("k", [0, 3, 10])
+    @pytest.mark.parametrize("p, eps", [
+        (0.6, math.nextafter(0.4, 0.0)),  # p + eps rounds to 1
+        (0.6, 0.4 - 2.0 ** -53),
+        (0.1, math.nextafter(0.9, 0.0)),
+        (0.75, math.nextafter(0.25, 0.0)),  # p + eps rounds to 1
+        (0.3, -math.nextafter(0.3, 0.0)),
+    ])
+    def test_sensitivity_bias_next_to_the_ends(self, k, p, eps):
+        exact, _ = sensitivity_bias(k, WalkSpec(10, p), eps)
+        want = mpmath_bias_sensitivity(k / 10, p, eps)
+        assert ulps(exact, want) <= ULP_BUDGET
+
+    @staticmethod
+    def bias_cells(crossing):
+        """Grid cells (k, N, p, eps) inside the range whose k/N does or does
+        not lie strictly between p and p + eps; every cell outside the range
+        must be refused."""
+        cells = []
         for (k, n), p, eps in itertools.product(GRID_OUTCOMES, GRID_PRICES,
                                                 GRID_EDGES):
-            if not 0.0 < p + eps < 1.0:
+            if not 0 < Fraction(p) + Fraction(eps) < 1:
                 with pytest.raises(ValueError, match="p \\+ eps"):
                     sensitivity_bias(k, WalkSpec(n, p), eps)
-                continue
-            cells += 1
-            exact, first_order = sensitivity_bias(k, WalkSpec(n, p), eps)
-            a = k / n
-            crossing = min(p, p + eps) < a < max(p, p + eps)
-            err = ulps(exact, mpmath_bias_sensitivity(a, p, eps),
-                       first_order if crossing else None)
-            if err > ULP_BUDGET:
+            elif (min(p, p + eps) < k / n < max(p, p + eps)) == crossing:
+                cells.append((k, n, p, eps))
+        return cells
+
+    def test_sensitivity_bias(self):
+        misses, cells = [], self.bias_cells(crossing=False)
+        for k, n, p, eps in cells:
+            exact, _ = sensitivity_bias(k, WalkSpec(n, p), eps)
+            if ulps(exact, mpmath_bias_sensitivity(k / n, p, eps)) > ULP_BUDGET:
                 misses.append((k, n, p, eps, exact))
         assert misses == []
-        assert cells > 1000
+        assert len(cells) > 1000
+
+    def test_sensitivity_bias_where_the_loss_changes_sign(self):
+        # Where k/N lies strictly between p and p + eps, exact passes
+        # through zero as k/N moves: it is first_order less remainders of
+        # about its size, so no double resolves it to units in its own
+        # last place (k/N = 0.3, p = 0.25, eps = 0.1 is about 12 of them
+        # off).  These cells are held to the same budget in units in the
+        # last place of first_order, the size of the terms that cancel.
+        misses, cells = [], self.bias_cells(crossing=True)
+        for k, n, p, eps in cells:
+            exact, first_order = sensitivity_bias(k, WalkSpec(n, p), eps)
+            want = mpmath_bias_sensitivity(k / n, p, eps)
+            if ulps(exact, want, first_order) > ULP_BUDGET:
+                misses.append((k, n, p, eps, exact))
+        assert misses == []
+        assert cells
 
 
 PRICES = st.floats(5e-324, 1.0 - 2.0 ** -52)
@@ -501,7 +548,7 @@ class TestLossSigns:
     @given(p=PRICES, eps=EDGES)
     @settings(max_examples=300, deadline=None)
     def test_fraction_loss_is_never_positive(self, p, eps):
-        assume(-1.0 < (2.0 * p - 1.0) + eps < 1.0)
+        assume(0 < 2 * Fraction(p) + Fraction(eps) < 2)  # -1 < 2p - 1 + eps < 1
         assert sensitivity_fraction(p, eps)[0] <= 0.0
 
     @given(n=st.integers(1, 1000), data=st.data(), p=PRICES, eps=EDGES)
