@@ -16,7 +16,8 @@ changes sign, whose root is taken in closed form, without iteration.
 A :class:`MarketPopulation` is two read-only arrays, capitals and beliefs;
 each :class:`Investor` is checked once, when the population is built.
 Sums run in units of a power of two that puts the largest capital in
-[1, 2), so any capitals in the float range give their unit-scale bits.
+[1, 2), so any capitals in the float range give their unit-scale bits;
+every total is exactly rounded (bit for bit ``math.fsum``).
 numpy is imported only by the functions that build or scan those arrays;
 the two-investor closed forms at the end run without it.
 """
@@ -24,6 +25,7 @@ the two-investor closed forms at the end run without it.
 import math
 from dataclasses import dataclass, field
 
+from ._sums import _fsum
 from ._validation import check_positive, check_probability
 from .kelly import _kelly_fraction, optimal_fraction
 
@@ -107,7 +109,8 @@ class MarketPopulation:
 
     @property
     def total_capital(self):
-        return _dollar_sum(self.capitals, 1.0, "total capital")
+        capitals, unit = _in_units(self.capitals)
+        return _in_dollars(_fsum(capitals), unit, "total capital")
 
     def scaled(self, factor):
         """Every capital multiplied by ``factor``; beliefs unchanged."""
@@ -132,11 +135,10 @@ def _in_units(capitals):
     return np.ldexp(capitals, 1 - e), math.ldexp(1.0, e - 1)
 
 
-def _dollar_sum(capitals, weights, name):
-    """``fsum(capitals * weights)`` in dollars; a ``ValueError`` naming it
+def _in_dollars(total, unit, name):
+    """A total taken in ``unit``, in dollars; a ``ValueError`` naming it
     when it is beyond the float range."""
-    capitals, unit = _in_units(capitals)
-    total = math.fsum(memoryview(capitals * weights)) * unit
+    total *= unit
     if math.isinf(total):
         raise ValueError(f"{name} is beyond the float range")
     return total
@@ -159,21 +161,21 @@ def signed_exposure(inv, p):
 
 def _aggregate(capitals, beliefs, p):
     import numpy as np
-    return math.fsum(memoryview(capitals * _kelly_fraction(beliefs, p, np.where)))
+    return _fsum(capitals * _kelly_fraction(beliefs, p, np.where))
 
 
 def aggregate_exposure(pop, p):
     """Sum of signed exposures over the population at price ``p``."""
-    import numpy as np
     p = check_probability(p, "p", open_interval=True)
-    return _dollar_sum(pop.capitals, _kelly_fraction(pop.beliefs, p, np.where),
+    capitals, unit = _in_units(pop.capitals)
+    return _in_dollars(_aggregate(capitals, pop.beliefs, p), unit,
                        "aggregate exposure")
 
 
 def _totals(capitals, weighted, lowest, highest):
     """Exactly rounded sums of capital and capital times belief, and the mean
     belief, kept between the extreme beliefs as the exact mean is."""
-    total, weighted = math.fsum(memoryview(capitals)), math.fsum(memoryview(weighted))
+    total, weighted = _fsum(capitals), _fsum(weighted)
     return total, weighted, min(max(weighted / total, lowest), highest)
 
 
@@ -236,8 +238,7 @@ def _segment_root(c, q, cq, sum_c, sum_cq):
     # the investors below the segment are those below its upper end
     m = int(np.searchsorted(q, upper, side="left"))
     lower = float(q[m - 1]) if m > first else _PRICE_LO
-    lo_c, hi_c = math.fsum(memoryview(c[:m])), math.fsum(memoryview(c[m:]))
-    lo_cq, hi_cq = math.fsum(memoryview(cq[:m])), math.fsum(memoryview(cq[m:]))
+    lo_c, hi_c, lo_cq, hi_cq = (_fsum(x) for x in (c[:m], c[m:], cq[:m], cq[m:]))
     return _quadratic_root(math.fsum((lo_c, -hi_c)),
                            math.fsum((hi_cq, -lo_c, -lo_cq)), lo_cq,
                            lower, upper)
@@ -307,7 +308,7 @@ def clearing_price(pop, tol=None):
         price = _segment_root(*sums)
 
     exposures = capitals * _kelly_fraction(beliefs, price, np.where)
-    residual = math.fsum(memoryview(exposures))
+    residual = _fsum(exposures)
     if abs(residual) > tol:
         raise ValueError(
             f"clearing residual {residual * unit:.3g} exceeds tolerance "

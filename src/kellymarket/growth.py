@@ -23,6 +23,7 @@ without it.
 import math
 from dataclasses import dataclass
 
+from ._sums import _fsum
 from ._validation import as_float, check_finite, check_integer, check_probability
 
 __all__ = [
@@ -110,8 +111,7 @@ def _log_pmf_anchor(n, p, m):
     np.log((n - r + i) / i, out=parts[:r])
     parts[r], parts[r + 1] = _exact_product(m, math.log(p))
     parts[r + 2], parts[r + 3] = _exact_product(n - m, math.log1p(-p))
-    # memoryview iterates as Python floats without building an O(N) list
-    return math.fsum(memoryview(parts))
+    return _fsum(parts)
 
 
 def _log_pmf_terms_bulk(n, p, k_max):
