@@ -14,10 +14,11 @@ error bound (else summed exactly), and the segment where the quadratic
 changes sign, whose root is taken in closed form, without iteration.
 
 A :class:`MarketPopulation` is two read-only arrays, capitals and beliefs;
-each :class:`Investor` is checked once, when the population is built.
-Sums run in units of a power of two that puts the largest capital in
-[1, 2), so any capitals in the float range give their unit-scale bits;
-every total is exactly rounded (bit for bit ``math.fsum``).
+each :class:`Investor` is checked once, when the population is built.  It
+takes its unit then too, a power of two that puts the largest capital in
+[1, 2), and holds the capitals in it, so every sum runs on exact unit-scale
+bits whatever the capitals' range, and none rescales them again; every total
+is exactly rounded (bit for bit ``math.fsum``).
 numpy is imported only by the functions that build or scan those arrays;
 the two-investor closed forms at the end run without it.
 """
@@ -86,9 +87,18 @@ class MarketPopulation:
                    np.array([i.belief for i in inv], dtype=float))
 
     def _hold(self, capitals, beliefs):
-        for name, array in (("capitals", capitals), ("beliefs", beliefs)):
+        # a unit of 2^(e - 1) dollars puts the largest capital in [1, 2): exact,
+        # so no sum or ratio taken in it moves a bit, and none over- or underflows
+        import numpy as np
+        e = math.frexp(capitals.max())[1]
+        for name, array in (("capitals", capitals), ("beliefs", beliefs),
+                            ("_unit_capitals", np.ldexp(capitals, 1 - e))):
             array.flags.writeable = False
             object.__setattr__(self, name, array)
+        object.__setattr__(self, "_unit", math.ldexp(1.0, e - 1))
+
+    def __getstate__(self):  # the unit is taken again when restored
+        return {"capitals": self.capitals, "beliefs": self.beliefs}
 
     def __setstate__(self, state):  # unpickled arrays are writeable
         self._hold(state["capitals"], state["beliefs"])
@@ -109,8 +119,7 @@ class MarketPopulation:
 
     @property
     def total_capital(self):
-        capitals, unit = _in_units(self.capitals)
-        return _in_dollars(_fsum(capitals), unit, "total capital")
+        return _in_dollars(_fsum(self._unit_capitals), self._unit, "total capital")
 
     def scaled(self, factor):
         """Every capital multiplied by ``factor``; beliefs unchanged."""
@@ -126,15 +135,6 @@ class MarketPopulation:
         return population
 
 
-def _in_units(capitals):
-    """``capitals`` in units of 2^(e - 1) dollars, which put the largest in
-    [1, 2), and that unit: exact, so no sum or ratio taken in these units
-    moves a bit, and none over- or underflows."""
-    import numpy as np
-    e = math.frexp(capitals.max())[1]
-    return np.ldexp(capitals, 1 - e), math.ldexp(1.0, e - 1)
-
-
 def _in_dollars(total, unit, name):
     """A total taken in ``unit``, in dollars; a ``ValueError`` naming it
     when it is beyond the float range."""
@@ -148,9 +148,9 @@ def _in_dollars(total, unit, name):
 class ClearingResult:
     price: float
     exposures: tuple = field(repr=False)
-    mean_belief: float = 0.0
-    gap: float = 0.0        # mean_belief - price
-    residual: float = 0.0   # aggregate exposure at the returned price
+    mean_belief: float
+    gap: float        # mean_belief - price
+    residual: float   # aggregate exposure at the returned price
 
 
 def signed_exposure(inv, p):
@@ -167,8 +167,7 @@ def _aggregate(capitals, beliefs, p):
 def aggregate_exposure(pop, p):
     """Sum of signed exposures over the population at price ``p``."""
     p = check_probability(p, "p", open_interval=True)
-    capitals, unit = _in_units(pop.capitals)
-    return _in_dollars(_aggregate(capitals, pop.beliefs, p), unit,
+    return _in_dollars(_aggregate(pop._unit_capitals, pop.beliefs, p), pop._unit,
                        "aggregate exposure")
 
 
@@ -182,7 +181,7 @@ def _totals(capitals, weighted, lowest, highest):
 def mean_belief(pop):
     """Capital-weighted average belief, in [0, 1]; a belief every investor
     holds is returned exactly."""
-    (capitals, _), beliefs = _in_units(pop.capitals), pop.beliefs
+    capitals, beliefs = pop._unit_capitals, pop.beliefs
     return _totals(capitals, capitals * beliefs,
                    float(beliefs.min()), float(beliefs.max()))[2]
 
@@ -271,7 +270,7 @@ def clearing_price(pop, tol=None):
     sign across the whole interior bracket.  Capitals may span the float range.
     """
     import numpy as np
-    (capitals, unit), beliefs = _in_units(pop.capitals), pop.beliefs
+    capitals, unit, beliefs = pop._unit_capitals, pop._unit, pop.beliefs
     order = np.argsort(beliefs)
     sums = _running_sums(capitals[order], beliefs[order])
     c, q, cq = sums[:3]

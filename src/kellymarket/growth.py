@@ -156,7 +156,8 @@ def binomial_pmf(spec, k):
     k = check_integer(k, "k", f"an integer in [0, {n}]", 0, n)
     if n > LOOP_MAX_STEPS:
         return math.exp(_log_pmf_anchor(n, p, k))
-    return math.exp(_log_pmf_terms_loop(n, p, k)[k])
+    return math.exp(math.log(math.comb(n, k)) + k * math.log(p)
+                    + (n - k) * math.log1p(-p))
 
 
 def log_binomial_cdf(spec, k):

@@ -132,12 +132,15 @@ class TestPopulation:
         lambda p: pickle.loads(pickle.dumps(p)), copy.deepcopy, copy.copy,
     ])
     def test_copies_stay_frozen(self, restore):
-        market = pop((2.0, 0.25), (3.0, 1.0))
+        market = pop((2.0, 0.25), (3.0, 0.75))
         for original in (market, market.scaled(3.0)):
             restored = restore(original)
             assert restored == original
-            for array in (restored.capitals, restored.beliefs):
-                assert not array.flags.writeable
+            assert clearing_price(restored) == clearing_price(original)
+            for population in (original, restored):
+                for array in (population.capitals, population.beliefs,
+                              population._unit_capitals):
+                    assert not array.flags.writeable
             for name in ("capitals", "beliefs", "investors", "other"):
                 with pytest.raises(AttributeError):
                     setattr(restored, name, np.ones(2))
@@ -154,6 +157,21 @@ class TestPopulation:
         scaled.total_capital
         assert built == []
         assert len(scaled.investors) == len(built) == 3
+
+    def test_solves_and_sums_take_the_unit_once(self, monkeypatch):
+        # each call rescaled every capital: 53 copies for these calls
+        rng = np.random.default_rng(15)
+        market = pop(*zip((rng.pareto(1.5, 300) + 1.0).tolist(),
+                          rng.uniform(0.0, 1.0, 300).tolist())).scaled(1e-300)
+        ldexp, calls = np.ldexp, []
+        monkeypatch.setattr(np, "ldexp",
+                            lambda *args: calls.append(args) or ldexp(*args))
+        for p in np.linspace(0.02, 0.98, 50).tolist():
+            aggregate_exposure(market, p)
+        clearing_price(market)
+        mean_belief(market)
+        market.total_capital
+        assert calls == []
 
     def test_sums_beyond_the_float_range(self):
         # fsum over the dollar capitals raised "intermediate overflow"
