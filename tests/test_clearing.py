@@ -136,6 +136,8 @@ class TestPopulation:
         for original in (market, market.scaled(3.0)):
             restored = restore(original)
             assert restored == original
+            # the state is the two arrays; the unit is taken again on restore
+            assert original.__getstate__().keys() == {"capitals", "beliefs"}
             assert clearing_price(restored) == clearing_price(original)
             for population in (original, restored):
                 for array in (population.capitals, population.beliefs,
@@ -159,7 +161,7 @@ class TestPopulation:
         assert len(scaled.investors) == len(built) == 3
 
     def test_solves_and_sums_take_the_unit_once(self, monkeypatch):
-        # each call rescaled every capital: 53 copies for these calls
+        # a rescale per call would copy every capital 53 times here
         rng = np.random.default_rng(15)
         market = pop(*zip((rng.pareto(1.5, 300) + 1.0).tolist(),
                           rng.uniform(0.0, 1.0, 300).tolist())).scaled(1e-300)
