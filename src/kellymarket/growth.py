@@ -5,25 +5,24 @@ bounded above by ``exp(-N D(k/N || p))`` and below by the same
 exponential divided by sqrt(2N), where D is the Kullback-Leibler
 divergence between Bernoulli(k/N) and Bernoulli(p).  Horizons of up to
 :data:`LOOP_MAX_STEPS` steps take each pmf term from an exact big-integer
-binomial coefficient; longer ones anchor one term at min(k, mode) and
-reach the rest by a numpy cumulative sum of log pmf ratios, in O(k) time.
-Tested against 50-digit mpmath up to N = 10^5: the log of the tail is
-within 1e-11 absolute (plus 4 units in the last place where |log P|
-exceeds about 10^4).
+binomial coefficient; longer ones take one term at min(k, mode) from
+Loader's closed form, in O(1), and reach the rest by a numpy cumulative
+sum of log pmf ratios, in O(k) time.  Tested against 50-digit mpmath up
+to N = 10^6 (the pmf up to 10^7): the log of the tail is within 1e-11
+absolute (plus 4 units in the last place where |log P| exceeds about 10^4).
 The number of up-steps at which terminal log-wealth hits a threshold Q
 turns those tails into statements about betting strategies.
 D and both misjudgment losses are sums of deviances x log(x/m) + m - x
 from one core, :func:`_bd0`, so none of them cancels at a small edge.
 
 numpy is imported only by the functions that build pmf terms, so the
-divergence, the two bounds, the threshold and the sensitivities run
-without it.
+pmf, the divergence, the two bounds, the threshold and the sensitivities
+run without it.
 """
 
 import math
 from dataclasses import dataclass
 
-from ._sums import _fsum
 from ._validation import as_float, check_finite, check_integer, check_probability
 
 __all__ = [
@@ -64,29 +63,17 @@ class WalkSpec:
         )
 
 
-# Horizons of at most this many steps build their pmf terms with the exact
-# big-integer loop, longer ones with the numpy recurrence.  Fixed where the
-# two cost the same per call (about 32 us at N = 54, on a 2-core x86 host);
-# it also keeps short horizons, such as the pinned CLI golden at N = 10,
-# bit for bit.
+# Horizons of at most this many steps take each pmf term from an exact
+# big-integer binomial coefficient, longer ones from the closed-form anchor
+# and the numpy recurrence.  The golden and bit-identity tests pin the
+# short horizons' bits, such as the CLI's at N = 10, up to this value.
 LOOP_MAX_STEPS = 54
 
 
-def _log_pmf_terms_loop(n, p, k_max):
-    """log pmf for k = 0..k_max as an ndarray.
-
-    The binomial coefficients are taken exactly as big integers before the
-    log, so the only rounding is in the log/multiply; its cost grows as
-    about k_max^1.7, so it only serves short horizons.
-    """
-    import numpy as np
-    log_p, log_1mp = math.log(p), math.log1p(-p)
-    out = np.empty(k_max + 1)
-    comb = 1
-    for k in range(k_max + 1):
-        out[k] = math.log(comb) + k * log_p + (n - k) * log_1mp
-        comb = comb * (n - k) // (k + 1)
-    return out
+def _log_pmf_term(n, k, log_p, log_1mp):
+    """log pmf at ``k`` with C(n, k) an exact big integer before its log,
+    for short horizons; ``log_p`` and ``log_1mp`` are log p and log(1 - p)."""
+    return math.log(math.comb(n, k)) + k * log_p + (n - k) * log_1mp
 
 
 def _exact_product(count, x):
@@ -97,21 +84,31 @@ def _exact_product(count, x):
     return count * hi, count * (x - hi)
 
 
-def _log_pmf_anchor(n, p, m):
-    """log pmf at ``m`` in O(min(m, n - m)) numpy work.
+def _stirlerr(n):
+    """Stirling's error log(n!) - (n + 1/2) log n + n - log(2 pi)/2 for an
+    integer n >= 1: directly below 16, else its series to the 1/n^9 term,
+    whose first omitted term is about 1e-16 at n = 16 and falls from there."""
+    if n < 16:
+        return (math.log(math.factorial(n)) - (n + 0.5) * math.log(n) + n
+                - 0.5 * math.log(2.0 * math.pi))
+    x = float(n)
+    y = 1.0 / (x * x)  # 0 near N = 1e308, where x * x overflows
+    return (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - y / 1188) * y) * y) * y) / x
 
-    ``log C(n, m)`` is the sum of log((n - r + i) / i) over i = 1..r with
-    r = min(m, n - m), rounded once together with the two power terms,
-    each split exactly.
-    """
-    import numpy as np
-    r = min(m, n - m)
-    i = np.arange(1.0, r + 1.0)
-    parts = np.empty(r + 4)
-    np.log((n - r + i) / i, out=parts[:r])
-    parts[r], parts[r + 1] = _exact_product(m, math.log(p))
-    parts[r + 2], parts[r + 3] = _exact_product(n - m, math.log1p(-p))
-    return _fsum(parts)
+
+def _log_pmf_anchor(n, p, m):
+    """log pmf at ``m`` in O(1): Loader's saddle point, stirlerr(n)
+    - stirlerr(m) - stirlerr(n - m) - bd0(m, n p) - bd0(n - m, n (1 - p))
+    + log(n / (2 pi m (n - m))) / 2, with m - n p exactly rounded."""
+    if m == 0 or m == n:
+        return n * math.log1p(-p) if m == 0 else n * math.log(p)
+    a, b = _exact_product(n, p)
+    d = math.fsum((m, -a, -b))
+    # _bd0's 27-bit splits overflow near 1e300: scale its arguments by 2^-64
+    s = 2.0 ** -64 if n > 2.0 ** 960 else 1.0
+    dev = _bd0(m * s, (a + b) * s, d * s) + _bd0((n - m) * s, n * (1.0 - p) * s, -d * s)
+    return (_stirlerr(n) - _stirlerr(m) - _stirlerr(n - m) - dev / s
+            + 0.5 * math.log(n / (m * (n - m)) / (2.0 * math.pi)))
 
 
 def _log_pmf_terms_bulk(n, p, k_max):
@@ -146,18 +143,17 @@ def _log_pmf_terms_bulk(n, p, k_max):
 
 
 def binomial_pmf(spec, k):
-    """P(exactly k up-steps) = C(N,k) p^k (1-p)^(N-k).
+    """P(exactly k up-steps) = C(N,k) p^k (1-p)^(N-k), in O(1).
 
     Horizons of up to :data:`LOOP_MAX_STEPS` steps take C(N,k) as an exact
-    big integer; longer ones its log as in :func:`_log_pmf_anchor`, in
-    O(min(k, N - k)) time.
+    big integer; longer ones take the log from Loader's closed form, as in
+    :func:`_log_pmf_anchor`.
     """
     n, p = spec.steps, spec.bias
     k = check_integer(k, "k", f"an integer in [0, {n}]", 0, n)
     if n > LOOP_MAX_STEPS:
         return math.exp(_log_pmf_anchor(n, p, k))
-    return math.exp(math.log(math.comb(n, k)) + k * math.log(p)
-                    + (n - k) * math.log1p(-p))
+    return math.exp(_log_pmf_term(n, k, math.log(p), math.log1p(-p)))
 
 
 def log_binomial_cdf(spec, k):
@@ -169,18 +165,21 @@ def log_binomial_cdf(spec, k):
     """
     if k != k:  # NaN; math.isnan would overflow on integers beyond floats
         raise ValueError(f"k must be a number, got {k!r}")
-    n = spec.steps
+    n, p = spec.steps, spec.bias
     if k < 0:
         return -math.inf
     if k >= n:
         return 0.0
     kf = math.floor(k)
-    build = _log_pmf_terms_loop if n <= LOOP_MAX_STEPS else _log_pmf_terms_bulk
-    terms = build(n, spec.bias, kf)
+    import numpy as np
+    if n > LOOP_MAX_STEPS:
+        terms = _log_pmf_terms_bulk(n, p, kf)
+    else:
+        log_p, log_1mp = math.log(p), math.log1p(-p)
+        terms = np.array([_log_pmf_term(n, j, log_p, log_1mp) for j in range(kf + 1)])
     m = terms.max()
     if m == -math.inf:  # every term underflows, the largest too
         return -math.inf
-    import numpy as np
     # rounding can nudge a near-complete sum past 1; clamp at log(1) = 0
     return min(float(m + math.log(np.exp(terms - m).sum())), 0.0)
 

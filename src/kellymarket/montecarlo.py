@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ._validation import as_float, check_finite, check_integer
-from .growth import WalkSpec, prob_growth_below
+from .growth import WalkSpec, prob_growth_below, threshold_steps
 from .kelly import even_odds_growth_rate
 
 __all__ = [
@@ -240,10 +240,11 @@ def _std_error(values):
 
 def _result(config, up_steps, per_step):
     import numpy as np
-    walk = config.walk
+    walk, f, q = config.walk, config.fraction, config.threshold
     hit = None
-    if config.threshold is not None:
-        hit = float(np.mean(per_step * walk.steps <= config.threshold))
+    if q is not None:  # log-wealth stays 0 at f = 0; else the exact tail's k <= k(Q)
+        hit = float(q >= 0.0) if f == 0.0 else float(
+            np.mean(up_steps <= threshold_steps(f, walk, q)))
     hist = tuple(np.bincount(up_steps, minlength=walk.steps + 1).tolist())
     return SimResult(
         mean_log_growth_per_step=float(per_step.mean()),

@@ -17,6 +17,7 @@ from kellymarket.growth import (
     LOOP_MAX_STEPS,
     OutOfValidityRegion,
     WalkSpec,
+    _stirlerr,
     binomial_cdf,
     binomial_pmf,
     chernoff_lower,
@@ -637,7 +638,9 @@ class TestLogCdfAgainstOracles:
                     assert log_binomial_cdf(spec, k) == \
                         big_integer_log_binomial_cdf(n, p, k), (n, p, k)
 
-    @pytest.mark.parametrize("n", GRID_N)
+    # 10^6 costs the oracle about 3 s; the anchor's rounding, which grew
+    # with N before it took the closed form, broke the bound there
+    @pytest.mark.parametrize("n", [*GRID_N, 10 ** 6])
     def test_matches_mpmath(self, n):
         assert grid_misses(
             lambda n, p, k: log_binomial_cdf(WalkSpec(n, p), k), n) == []
@@ -668,7 +671,7 @@ class TestPmfAgainstOracles:
                         math.log(math.comb(n, k)) + k * math.log(p)
                         + (n - k) * math.log1p(-p)), (n, p, k)
 
-    @pytest.mark.parametrize("n", GRID_N)
+    @pytest.mark.parametrize("n", [*GRID_N, 10 ** 6, 10 ** 7])
     def test_matches_mpmath(self, n):
         misses = []
         for p in GRID_P:
@@ -688,7 +691,7 @@ class TestPmfAgainstOracles:
         assert misses == []
 
     def test_hundred_thousand_steps_within_budget(self):
-        # about 2 ms on a 2-core x86 box; log(comb(n, k)) on the big
+        # about 5 us on a 2-core x86 box; log(comb(n, k)) on the big
         # integer took 150-210 ms
         spec = WalkSpec(100_000, 0.6)
         for k in (59_000, 60_000):
@@ -697,3 +700,25 @@ class TestPmfAgainstOracles:
             elapsed = time.perf_counter() - start
             assert value > 0.0
             assert elapsed < 0.05
+
+    def test_ten_million_steps_in_constant_time(self):
+        # about 5 us on a 2-core x86 box, as at 10^5; a sum of
+        # min(k, N - k) logs took 200 ms here
+        spec = WalkSpec(10 ** 7, 0.5)
+        for k in (4_999_000, 5_000_000):
+            start = time.perf_counter()
+            value = binomial_pmf(spec, k)
+            elapsed = time.perf_counter() - start
+            assert value > 0.0
+            assert elapsed < 0.01
+
+
+@pytest.mark.parametrize("n", [*range(1, 16), 16, 17, 35, 80, 500, 10 ** 4, 10 ** 7])
+def test_stirling_error_matches_mpmath(n):
+    # log(n!) - (n + 1/2) log n + n - log(2 pi) / 2: computed directly
+    # below 16 (cancelling about 13 bits) and by the series from 16 up
+    with mpmath.workdps(50):
+        x = mpmath.mpf(n)
+        want = mpmath.loggamma(x + 1) - (x + 0.5) * mpmath.log(x) + x \
+            - mpmath.log(2 * mpmath.pi) / 2
+    assert abs(_stirlerr(n) - float(want)) <= (1e-14 if n < 16 else 3e-14 * float(want))

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from kellymarket import montecarlo
-from kellymarket.growth import WalkSpec, binomial_pmf, prob_growth_below
+from kellymarket.growth import WalkSpec, binomial_pmf, prob_growth_below, threshold_steps
 from kellymarket.kelly import even_odds_growth_rate
 from kellymarket.montecarlo import (
     BULK_MAX_STEPS,
@@ -246,6 +246,29 @@ class TestThresholdValidation:
         assert exact == pytest.approx(0.3669, abs=1e-4)
         assert abs(empirical - exact) < 0.006
         assert abs(z) < 4.0
+
+    @pytest.mark.parametrize("k", range(11))
+    def test_targets_on_a_reachable_log_wealth(self, k):
+        # Q is the log-wealth after k up-steps, so it sits on a histogram
+        # bin: the hit count and the exact tail must count that bin alike
+        f, walk = 0.2, WalkSpec(10, 0.6)
+        q = k * math.log1p(f) + (10 - k) * math.log1p(-f)
+        config = SimConfig(walk, f, 2000, 42, threshold=q)
+        result = run(config)
+        empirical, exact, z = threshold_z(config, result)
+        below = math.floor(threshold_steps(f, walk, q))
+        assert empirical == sum(result.up_step_histogram[:below + 1]) / 2000
+        assert abs(z) < 4.0
+
+    def test_flat_stake_hits_every_target_from_zero_up(self):
+        walk = WalkSpec(10, 0.6)
+        for q, hit in ((0.0, 1.0), (5e-324, 1.0), (-5e-324, 0.0)):
+            assert run(SimConfig(walk, 0.0, 50, 3, q)).threshold_hit_fraction == hit
+
+    def test_target_whose_step_count_overflows_is_refused_naming_q(self):
+        config = SimConfig(WalkSpec(10, 0.6), 1e-300, 10, 1, threshold=1e300)
+        with pytest.raises(ValueError, match=re.escape("Q (log-wealth target)")):
+            run(config)
 
     def test_threshold_z_reuses_a_run(self):
         config = SimConfig(WalkSpec(12, 0.6), 0.2, 3000, 5, threshold=0.0)
