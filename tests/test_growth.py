@@ -638,8 +638,8 @@ class TestLogCdfAgainstOracles:
                     assert log_binomial_cdf(spec, k) == \
                         big_integer_log_binomial_cdf(n, p, k), (n, p, k)
 
-    # 10^6 costs the oracle about 3 s; the anchor's rounding, which grew
-    # with N before it took the closed form, broke the bound there
+    # 10^6 costs the oracle about 3 s; an anchor whose rounding grows with
+    # N, such as a sum of min(m, N - m) logs, breaks the bound there first
     @pytest.mark.parametrize("n", [*GRID_N, 10 ** 6])
     def test_matches_mpmath(self, n):
         assert grid_misses(
