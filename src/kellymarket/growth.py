@@ -6,18 +6,20 @@ exponential divided by sqrt(2N), where D is the Kullback-Leibler
 divergence between Bernoulli(k/N) and Bernoulli(p).  Horizons of up to
 :data:`LOOP_MAX_STEPS` steps take each pmf term from an exact big-integer
 binomial coefficient; longer ones take one term at min(k, mode) from
-Loader's closed form, in O(1), and reach the rest by a numpy cumulative
-sum of log pmf ratios, in O(k) time.  Tested against 50-digit mpmath up
-to N = 10^6 (the pmf up to 10^7): the log of the tail is within 1e-11
-absolute (plus 4 units in the last place where |log P| exceeds about 10^4).
+Loader's closed form, in O(1), and walk the log pmf ratios outward from
+it in plain Python only until the terms left out fall below 2^-60 of
+the sum: at most about 9 standard deviations each way, whatever k is,
+and at most :data:`WINDOW_MAX_TERMS` terms.  Tested against 50-digit
+mpmath up to N = 10^7, and in the deep tail up to 10^15: the log of the
+tail is within 1e-11 absolute (plus 4 units in the last place where
+|log P| exceeds about 10^4).
 The number of up-steps at which terminal log-wealth hits a threshold Q
 turns those tails into statements about betting strategies.
 D and both misjudgment losses are sums of deviances x log(x/m) + m - x
 from one core, :func:`_bd0`, so none of them cancels at a small edge.
 
-numpy is imported only by the functions that build pmf terms, so the
-pmf, the divergence, the two bounds, the threshold and the sensitivities
-run without it.
+numpy is imported only for tails of at most :data:`LOOP_MAX_STEPS` steps,
+whose bits it pins, so everything else here runs without it.
 """
 
 import math
@@ -64,10 +66,21 @@ class WalkSpec:
 
 
 # Horizons of at most this many steps take each pmf term from an exact
-# big-integer binomial coefficient, longer ones from the closed-form anchor
-# and the numpy recurrence.  The golden and bit-identity tests pin the
-# short horizons' bits, such as the CLI's at N = 10, up to this value.
+# big-integer binomial coefficient and sum the terms in numpy, longer ones
+# walk a window out from the closed-form anchor.  The golden and
+# bit-identity tests pin the short horizons' bits, such as the CLI's at
+# N = 10, up to this value.
 LOOP_MAX_STEPS = 54
+
+# The most pmf terms a tail above LOOP_MAX_STEPS may sum: at most about
+# half a second and 35 MB on a 2-core x86 box.  A window spans about 9
+# standard deviations, so at p = 1/2 near the mode N = 3 x 10^10 answers
+# and 4 x 10^10 is refused.
+WINDOW_MAX_TERMS = 2 ** 20
+
+# A walk stops once the terms it leaves out sum to less than this share
+# of the terms it has.
+_WINDOW_CUT = 2.0 ** -60
 
 
 def _log_pmf_term(n, k, log_p, log_1mp):
@@ -77,8 +90,9 @@ def _log_pmf_term(n, k, log_p, log_1mp):
 
 
 def _exact_product(count, x):
-    """``count * x`` as two doubles whose sum is exact for counts below
-    2^26: x is split into halves of at most 26 bits (Veltkamp)."""
+    """``count * x`` as two doubles whose sum is exact for counts of at
+    most 27 significant bits: x is split into halves of at most 26 bits
+    (Veltkamp)."""
     t = 134217729.0 * x  # 2^27 + 1
     hi = t - (t - x)
     return count * hi, count * (x - hi)
@@ -96,50 +110,94 @@ def _stirlerr(n):
     return (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - y / 1188) * y) * y) * y) / x
 
 
+def _n_times(n, p):
+    """``n * p`` as four doubles whose sum is exact for n below 2^53:
+    n = hi + lo with hi of 26 bits and lo of at most 27, each times p as
+    in :func:`_exact_product` (Dekker's two-by-two product)."""
+    shift = max(n.bit_length() - 26, 0)
+    hi = n >> shift << shift
+    return _exact_product(hi, p) + _exact_product(n - hi, p)
+
+
 def _log_pmf_anchor(n, p, m):
     """log pmf at ``m`` in O(1): Loader's saddle point, stirlerr(n)
     - stirlerr(m) - stirlerr(n - m) - bd0(m, n p) - bd0(n - m, n (1 - p))
-    + log(n / (2 pi m (n - m))) / 2, with m - n p exactly rounded."""
+    + log(n / (2 pi m (n - m))) / 2, with m - n p exactly rounded for n
+    below 2^53."""
     if m == 0 or m == n:
         return n * math.log1p(-p) if m == 0 else n * math.log(p)
-    a, b = _exact_product(n, p)
-    d = math.fsum((m, -a, -b))
+    d = math.fsum((m, *(-x for x in _n_times(n, p))))
     # _bd0's 27-bit splits overflow near 1e300: scale its arguments by 2^-64
     s = 2.0 ** -64 if n > 2.0 ** 960 else 1.0
-    dev = _bd0(m * s, (a + b) * s, d * s) + _bd0((n - m) * s, n * (1.0 - p) * s, -d * s)
+    dev = _bd0(m * s, n * p * s, d * s) + _bd0((n - m) * s, n * (1.0 - p) * s, -d * s)
     return (_stirlerr(n) - _stirlerr(m) - _stirlerr(n - m) - dev / s
             + 0.5 * math.log(n / (m * (n - m)) / (2.0 * math.pi)))
 
 
-def _log_pmf_terms_bulk(n, p, k_max):
-    """log pmf for k = 0..k_max as an ndarray, in O(k_max) numpy work.
+def _walk_bound(n, m, x):
+    """Steps by which a walk of :func:`_log_cdf_window` down from ``m``,
+    whose first step has ``x``, surely stops; known before it starts.
 
-    One anchor term at ``m = min(k_max, mode)``, the largest of the terms
-    wanted, comes from :func:`_log_pmf_anchor`; every other term adds up
-    the log pmf ratios outward from it, so rounding grows with the
-    distance from the anchor, not with n.
+    At the first step log1p(x) = a >= 0, and at the (i + 1)-th
+    log1p(x) >= a + i/m + i/(N + 1 - m + i).  So after t steps the last
+    term is at most exp(-t a - t (t - 1) (1/m + 1/(N + 1 - m + t)) / 2)
+    of the anchor and x >= (t - 1)/m, and the walk stops by the first
+    t >= 2 at which that exponent exceeds 60 log 2 + log m (plus 1 for
+    rounding): solved once with t = m on the right, and once more with
+    the t found.  Never above m.
     """
-    import numpy as np
-    m = min(k_max, math.floor((n + 1) * p))
-    anchor = _log_pmf_anchor(n, p, m)
-    j = np.arange(1.0, k_max + 1.0)
-    # step[j - 1] = log(pmf(j) / pmf(j - 1)) = log((n - j + 1) p / (j (1 - p)))
-    # a ratio past the float range either way, near N = 1e308 or at a
-    # subnormal p, is a term that cannot move the sum: its log is +-inf
-    with np.errstate(over="ignore", divide="ignore"):
-        step = (n + 1.0 - j) * (p / (1.0 - p)) / j
-        np.log(step, out=step)
-    out = np.empty(k_max + 1)
-    out[m] = anchor
-    if m > 0:
-        down = out[:m][::-1]
-        np.add.accumulate(step[:m][::-1], out=down)
-        np.subtract(anchor, down, out=down)
-    if k_max > m:
-        up = out[m + 1:]
-        np.add.accumulate(step[m:], out=up)
-        up += anchor
-    return out
+    a = max(math.log1p(x), 0.0)
+    cut = 60.0 * math.log(2.0) + math.log(m) + 1.0
+    t = m
+    for _ in range(2):
+        b = 1.0 / m + 1.0 / (n + 1 - m + t)
+        h = a - 0.5 * b
+        t = min(t, max(2, math.floor(2.0 * cut / (h + math.sqrt(h * h + 2.0 * b * cut))) + 1))
+    return t
+
+
+def _log_cdf_window(n, p, k):
+    """log P(up-steps <= k) for 0 <= k < n by a window walked out from
+    the anchor m = min(k, mode) in plain Python.
+
+    Walking down from m, pmf(m - i - 1) / pmf(m - i) = 1 / (1 + x) with
+    x = (i + a) / ((m - i) (1 - p)), where a = (n + 1) p - m is exactly
+    rounded, so x is good to a few units in its last place however small
+    it is.  When k is above the mode, the walk up from it to k is the
+    walk down from n - m of the mirrored walk, with p and 1 - p swapped
+    and 1 - a in place of a.  Terms are exp(-c) of the anchor, c the
+    running sum of log1p(x).  x grows along a walk, so the terms beyond
+    the last one t added sum to at most t / x, and each walk stops once
+    that is below 2^-60 of the sum; the terms are added with
+    ``math.fsum``.  A window that :func:`_walk_bound` puts above
+    :data:`WINDOW_MAX_TERMS` terms is a ``ValueError`` naming N, raised
+    before any term is summed.
+    """
+    mode = math.floor((n + 1) * p)
+    m = min(k, mode)
+    a = math.fsum((p, -m, *_n_times(n, p)))
+    # each walk down as (start, its a, its 1 - p, the most steps it can take)
+    walks = [(m, a, 1.0 - p, m)] + ([(n - m, 1.0 - a, p, k - m)] if k > m else [])
+    steps = [min(most, _walk_bound(n, start, b / (start * q))) if most else 0
+             for start, b, q, most in walks]
+    if sum(steps) > WINDOW_MAX_TERMS:
+        raise ValueError(
+            f"N = {n} steps: the tail at k = {k} needs a window of up to "
+            f"{sum(steps)} pmf terms, over the cap of {WINDOW_MAX_TERMS}")
+    log1p, exp, cut = math.log1p, math.exp, _WINDOW_CUT
+    terms, total = [1.0], 1.0
+    for (start, b, q, _), count in zip(walks, steps):
+        c = 0.0
+        for i in range(count):
+            x = (i + b) / ((start - i) * q)  # inf past the float range: the term is 0
+            c += log1p(x)
+            t = exp(-c)
+            terms.append(t)
+            total += t
+            if t < cut * total * x:
+                break
+    # rounding can nudge a near-complete sum past 1; clamp at log(1) = 0
+    return min(_log_pmf_anchor(n, p, m) + math.log(math.fsum(terms)), 0.0)
 
 
 def binomial_pmf(spec, k):
@@ -161,7 +219,13 @@ def log_binomial_cdf(spec, k):
     and 0.0 from k = N up (k = +inf included).
 
     Fractional k is floored to the nearest smaller integer rather than
-    interpolated.  A NaN k is a ``ValueError``.
+    interpolated.  A NaN k is a ``ValueError``.  Up to
+    :data:`LOOP_MAX_STEPS` steps every term is summed, in numpy; above,
+    no numpy: a window of at most about 9 standard deviations each way is
+    walked out from min(k, mode) until the terms left out, bounded by a geometric series,
+    fall below 2^-60 of the sum, as in :func:`_log_cdf_window`.  A window
+    of more than :data:`WINDOW_MAX_TERMS` terms is a ``ValueError`` naming
+    N, raised before it is walked.
     """
     if k != k:  # NaN; math.isnan would overflow on integers beyond floats
         raise ValueError(f"k must be a number, got {k!r}")
@@ -171,12 +235,11 @@ def log_binomial_cdf(spec, k):
     if k >= n:
         return 0.0
     kf = math.floor(k)
-    import numpy as np
     if n > LOOP_MAX_STEPS:
-        terms = _log_pmf_terms_bulk(n, p, kf)
-    else:
-        log_p, log_1mp = math.log(p), math.log1p(-p)
-        terms = np.array([_log_pmf_term(n, j, log_p, log_1mp) for j in range(kf + 1)])
+        return _log_cdf_window(n, p, kf)
+    import numpy as np
+    log_p, log_1mp = math.log(p), math.log1p(-p)
+    terms = np.array([_log_pmf_term(n, j, log_p, log_1mp) for j in range(kf + 1)])
     m = terms.max()
     if m == -math.inf:  # every term underflows, the largest too
         return -math.inf

@@ -235,6 +235,13 @@ class TestBounds:
         assert (code, captured.out, captured.err) == (
             2, "", "error: rate_per_step is not finite: inf\n")
 
+    def test_window_past_the_cap_exits_2_naming_n(self, capsys):
+        code = main(["bounds", "--N", "1" + "0" * 15, "--p", "0.5", "--k", "4" + "9" * 14])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert re.fullmatch(r"error: N = 1000000000000000 steps: [^\n]*cap[^\n]*\n",
+                            captured.err)
+
     def test_largest_float_step_count(self, capsys):
         n = int(sys.float_info.max)
         code, out = invoke(capsys, "bounds", "--N", str(n), "--p", "0.5", "--k", "3")

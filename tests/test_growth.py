@@ -13,8 +13,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from kellymarket import growth
 from kellymarket.growth import (
     LOOP_MAX_STEPS,
+    WINDOW_MAX_TERMS,
     OutOfValidityRegion,
     WalkSpec,
     _stirlerr,
@@ -638,17 +640,65 @@ class TestLogCdfAgainstOracles:
                     assert log_binomial_cdf(spec, k) == \
                         big_integer_log_binomial_cdf(n, p, k), (n, p, k)
 
-    # 10^6 costs the oracle about 3 s; an anchor whose rounding grows with
-    # N, such as a sum of min(m, N - m) logs, breaks the bound there first
-    @pytest.mark.parametrize("n", [*GRID_N, 10 ** 6])
+    # 10^6 costs the oracle about 3 s and 10^7 about 8 s; an anchor whose
+    # rounding grows with N, such as a sum of min(m, N - m) logs, breaks
+    # the bound there first
+    @pytest.mark.parametrize("n", [*GRID_N, 10 ** 6, 10 ** 7])
     def test_matches_mpmath(self, n):
         assert grid_misses(
             lambda n, p, k: log_binomial_cdf(WalkSpec(n, p), k), n) == []
 
+    # N p = 10^7 (or N (1 - p)), 10 and 40 standard deviations below the
+    # mean: windows of at most about 10^4 terms.  From N = 2^27 up, n times
+    # a 26-bit half of p can need more than 53 bits; with only p split, the
+    # anchor missed by up to 7e-4 at 10^15 with p near 1
+    @pytest.mark.parametrize("n", [2 ** 26 + 3, 10 ** 9, 10 ** 12, 10 ** 15])
+    def test_deep_tails_of_long_horizons_match_mpmath(self, n):
+        misses = []
+        for p in (1e7 / n, 1.0 - 1e7 / n):
+            sd = math.sqrt(n * p * (1.0 - p))
+            for z in (10.0, 40.0):
+                k = math.floor(n * p - z * sd)
+                got, ref = log_binomial_cdf(WalkSpec(n, p), k), mpmath_reference(n, p, k)
+                if not abs(got - ref) <= LOG_CDF_TOL + 4.0 * math.ulp(ref):
+                    misses.append((p, k, got, ref))
+        assert misses == []
+
+    def test_the_walk_bound_never_cuts_a_walk_short(self, monkeypatch):
+        # the cap is decided on _walk_bound before the walk: lifted to the
+        # most steps each walk can take, the walks stop at the same terms
+        cells = [(n, p, k) for n in (55, 1000, 30_000, 10 ** 6)
+                 for p in (1e-9, 0.05, 0.5, 0.95, 1.0 - 1e-9) for k in grid_k(n, p)]
+        bounded = [log_binomial_cdf(WalkSpec(*cell[:2]), cell[2]) for cell in cells]
+        monkeypatch.setattr(growth, "_walk_bound", lambda n, m, x: m)
+        monkeypatch.setattr(growth, "WINDOW_MAX_TERMS", 10 ** 7)
+        assert [log_binomial_cdf(WalkSpec(*cell[:2]), cell[2]) for cell in cells] == bounded
+
+    def test_a_window_past_the_cap_is_refused_naming_n(self):
+        # about 1.4 x 10^8 terms at N = 10^15 near the mode; refused before
+        # the walk, so at once
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=r"^N = 1000000000000000 steps: .* "
+                                             rf"over the cap of {WINDOW_MAX_TERMS}$"):
+            log_binomial_cdf(WalkSpec(10 ** 15, 0.5), 5 * 10 ** 14 - 1)
+        assert time.perf_counter() - start < 0.1
+
+    def test_a_billion_steps_near_the_mode(self):
+        # about 0.1 s on a 2-core x86 box, a window of about 1.4 x 10^5
+        # terms; an array of all k + 1 log pmf terms needs 3.7 GiB here
+        spec = WalkSpec(10 ** 9, 0.5)
+        start = time.perf_counter()
+        log_f = log_binomial_cdf(spec, 499_999_999)
+        elapsed = time.perf_counter() - start
+        assert math.isfinite(log_f)
+        assert chernoff_lower(spec, 499_999_999) <= math.exp(log_f) \
+            <= chernoff_upper(spec, 499_999_999)
+        assert elapsed < 2.0
+
     @pytest.mark.parametrize("n", [n for n in GRID_N if n <= 30_000])
     def test_big_integer_loop_meets_the_same_bound(self, n):
-        # the bound is not fitted to the numpy terms: the exact-coefficient
-        # loop they replace meets it too, where it is affordable
+        # the bound is not fitted to the window: the exact-coefficient
+        # loop it replaces meets it too, where it is affordable
         assert grid_misses(big_integer_log_binomial_cdf, n) == []
 
     def test_hundred_thousand_steps_within_budget(self):

@@ -75,8 +75,9 @@ SCALAR_ARGV = {
                          "--p", "0.6", "--eps", "0.01"],
     "sensitivity-fraction": ["sensitivity", "--mode", "fraction", "--p", "0.6",
                              "--eps", "0.05"],
+    "bounds-1000": ["bounds", "--N", "1000", "--p", "0.6", "--k", "550"],
     **{f"sweep-{command}": ["sweep", f"{command}.json"]
-       for command in ("fraction", "kq", "growth", "sensitivity")},
+       for command in ("fraction", "kq", "growth", "sensitivity", "bounds")},
 }
 
 REJECTED_ARGV = {
@@ -93,7 +94,6 @@ REJECTED_ARGV = {
 
 ARRAY_ARGV = {
     "bounds": ["bounds", "--N", "10", "--p", "0.6", "--k", "4"],
-    "sweep-bounds": ["sweep", "bounds.json"],
     "simulate": ["simulate", "--N", "10", "--p", "0.6", "--f", "0.2", "--Q", "0",
                  "--paths", "2000", "--seed", "42"],
     "clear": ["clear", "population.csv"],
