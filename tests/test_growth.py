@@ -684,7 +684,7 @@ class TestLogCdfAgainstOracles:
         assert time.perf_counter() - start < 0.1
 
     def test_a_billion_steps_near_the_mode(self):
-        # about 0.1 s on a 2-core x86 box, a window of about 1.4 x 10^5
+        # about 80 ms on a 2-core x86 box, a window of about 1.4 x 10^5
         # terms; an array of all k + 1 log pmf terms needs 3.7 GiB here
         spec = WalkSpec(10 ** 9, 0.5)
         start = time.perf_counter()
