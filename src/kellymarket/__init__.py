@@ -1,14 +1,40 @@
 """Kelly betting on all-or-nothing contracts: optimal fractions, market
 clearing for populations of log-utility bettors, binomial tail bounds on
-finite-horizon growth, and a seeded Monte Carlo validator."""
+finite-horizon growth, and a seeded Monte Carlo validator.
 
-from . import clearing, growth, kelly, montecarlo
-from .clearing import *  # noqa: F401,F403
-from .growth import *  # noqa: F401,F403
-from .kelly import *  # noqa: F401,F403
-from .montecarlo import *  # noqa: F401,F403
+``import kellymarket`` loads none of the submodules.  A submodule, or one
+of the names in ``__all__``, is imported on first access (PEP 562) and
+then kept in the package namespace.  ``__all__`` is the sorted union of
+the submodules' own ``__all__`` lists, so reading it, as
+``from kellymarket import *`` and ``dir(kellymarket)`` do, imports all
+four.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = sorted(clearing.__all__ + growth.__all__ + kelly.__all__
-                 + montecarlo.__all__)
+# Searched in this order for a public name, the cheapest import first.
+_SUBMODULES = ("kelly", "growth", "clearing", "montecarlo")
+
+
+def __getattr__(name):
+    if name in _SUBMODULES:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name == "__all__":
+        value = sorted(n for module in map(__getattr__, _SUBMODULES)
+                       for n in module.__all__)
+    else:
+        for module in map(__getattr__, _SUBMODULES):
+            if name in module.__all__:
+                value = getattr(module, name)
+                break
+        else:
+            raise AttributeError(
+                f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__getattr__("__all__")})

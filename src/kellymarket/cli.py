@@ -13,19 +13,23 @@ Exit codes: 0 success, 2 bad input or precondition violation, 3 no
 interior clearing price exists.  A failure prints one ``error:`` line to
 stderr and nothing to stdout, naming the population or sweep file at
 fault; a record holding a non-finite number is refused naming its field.
+
+Start-up loads only what a command uses: each record builder imports its
+library module when it runs, so ``fraction`` and the ``fraction`` and
+``growth`` sweeps load ``kelly`` alone; ``bounds``, ``kq`` and
+``sensitivity`` load ``growth``; ``clear`` loads ``clearing``; and
+``simulate`` loads ``montecarlo``.
 """
 import argparse
 import collections
 import csv
 import functools
-import inspect
 import io
 import json
 import math
 import re
 import sys
 
-from . import clearing, growth, kelly, montecarlo
 from ._validation import as_float
 
 EXIT_BAD_INPUT = 2
@@ -65,6 +69,7 @@ def _format(records, as_csv):
 
 
 def _record_fraction(q, p, alpha=1.0):
+    from . import kelly
     if alpha == 1.0:
         f = kelly.optimal_fraction(q, p)
         utility = kelly.log_utility(q, p, f)
@@ -76,6 +81,7 @@ def _record_fraction(q, p, alpha=1.0):
 
 
 def _record_bounds(N, p, k):
+    from . import growth
     spec = growth.WalkSpec(N, p)
     upper = growth.chernoff_upper(spec, k)  # k an integer in [0, N p] from here
     lower = growth.chernoff_lower(spec, k) if k >= 1 else None
@@ -87,16 +93,19 @@ def _record_bounds(N, p, k):
 
 
 def _record_kq(f, N, Q):
+    from . import growth
     spec = growth.WalkSpec(N, 0.5)  # bias unused by the threshold formula
     return {"f": f, "N": spec.steps, "Q": Q,
             "k_q": growth.threshold_steps(f, spec, Q)}
 
 
 def _record_growth(p, f):
+    from . import kelly
     return {"p": p, "f": f, "growth_rate": kelly.even_odds_growth_rate(p, f)}
 
 
 def _record_sensitivity(mode, p, eps, N=None, k=None):
+    from . import growth
     if mode == "bias":
         if N is None or k is None:
             raise ValueError("bias mode needs --N and --k")
@@ -115,6 +124,7 @@ def _record_sensitivity(mode, p, eps, N=None, k=None):
 
 
 def _record_simulate(N, p, f, paths, seed, Q=None, workers=1):
+    from . import growth, kelly, montecarlo
     config = montecarlo.SimConfig(
         walk=growth.WalkSpec(N, p), fraction=f, paths=paths, seed=seed,
         threshold=Q,
@@ -134,6 +144,7 @@ def _record_simulate(N, p, f, paths, seed, Q=None, workers=1):
 
 
 def _record_clear(population_file, tol=None):
+    from . import clearing
     pop = load_population(population_file)
     result = clearing.clearing_price(pop, tol=tol)
     return {"price": result.price, "mean_belief": result.mean_belief,
@@ -195,6 +206,7 @@ def load_population(path):
     Every problem with the contents is a ``ValueError`` that names the
     file and, for a bad record, its row (the first record is row 1).
     """
+    from . import clearing
     with open(path, encoding="utf-8") as fh:
         text = fh.read()
     stripped = text.lstrip()
@@ -307,7 +319,9 @@ def build_parser():
         if help_text is None:
             continue
         command = sub.add_parser(name, help=help_text)
-        params = inspect.signature(build).parameters
+        # the builder's defaults belong to its last parameters
+        params = build.__code__.co_varnames[:build.__code__.co_argcount]
+        optional = params[len(params) - len(build.__defaults__ or ()):]
         for option, kind in options.items():
             if kind is str:
                 command.add_argument(option)
@@ -315,8 +329,8 @@ def build_parser():
             spec = {"choices": kind} if isinstance(kind, tuple) else \
                 {"type": kind}
             # an option left out is None, and the builder's default applies
-            command.add_argument(f"--{option}", **spec, required=(
-                params[option].default is params[option].empty))
+            command.add_argument(f"--{option}", **spec,
+                                 required=option not in optional)
     return parser
 
 
@@ -359,11 +373,12 @@ def main(argv=None):
                             if getattr(args, option) is not None})
         text = _format(records if isinstance(records, list) else [records],
                        as_csv)
-    except clearing.NoInteriorClearing as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NO_SOLUTION
     except (ValueError, KeyError, TypeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        # only a clearing module that a builder loaded can have raised it
+        clearing = sys.modules.get(f"{__package__}.clearing")
+        if clearing and isinstance(exc, clearing.NoInteriorClearing):
+            return EXIT_NO_SOLUTION
         return EXIT_BAD_INPUT
     sys.stdout.write(text)
     return 0

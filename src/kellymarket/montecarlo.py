@@ -6,10 +6,10 @@ the up-step count of each path is kept, and wealth is tracked in log space.
 The engine never builds those objects per path.  It works in two stages:
 
 * **Keys.** The ``SeedSequence`` hash (O'Neill's seed_seq mixing over
-  uint32 words) is a fixed schedule.  Its mixed pool of the seed's words
-  is numpy's own ``SeedSequence(seed).pool``; only the stage that mixes
-  in the path index, and the output hash, run here, in one numpy pass
-  over a whole block of path indices.
+  uint32 words) is a fixed schedule.  The pool that mixes the seed's
+  words is computed once per run in plain Python; the stage that mixes
+  in the path index, and the output hash, run in one numpy pass over a
+  whole block of path indices.
 * **Flips.** Walks of at most :data:`BULK_MAX_STEPS` steps run Philox
   itself in numpy over a chunk of paths by ``ceil(N/4)`` counter blocks,
   with the 64-bit multiply-high split into 32-bit halves.  Longer walks
@@ -20,10 +20,11 @@ The engine never builds those objects per path.  It works in two stages:
 Both kernels reproduce numpy's streams bit for bit, so a result depends
 only on the config.  The ``workers`` argument is accepted for
 compatibility and has no effect.  numpy is imported by the functions
-that build arrays, when a run starts; building and checking a
-:class:`SimConfig` needs none.
+that build arrays, when a run starts, and ``numpy.random`` only by the
+native kernel; building and checking a :class:`SimConfig` needs neither.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -102,14 +103,15 @@ class StrategyComparison:
     se_diff_vs_first: float
 
 
-# Stage 1, keys: the last stage of the seed_seq hash behind numpy's
-# SeedSequence (M. O'Neill, uint32 words, multipliers stepped at every
-# call), evaluated for a whole block of path indices in numpy.
+# Stage 1, keys: the seed_seq hash behind numpy's SeedSequence
+# (M. O'Neill, uint32 words, multipliers stepped at every call); its pool
+# stage in Python once per run, its last stage for a whole block of path
+# indices in numpy.
 _M32 = 0xFFFFFFFF
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 # Hash call i uses init * mult**i and the next; a four-word pool takes
 # 4 + 12 calls before the index word, and the output stage starts afresh.
-_INDEX_CONSTS = [0x43B0D7E5 * 0x931E8875 ** i & _M32 for i in range(16, 21)]
+_INDEX_CONSTS = [0x43B0D7E5 * 0x931E8875 ** i & _M32 for i in range(21)]
 _OUT_CONSTS = [0x8B51F9DD * 0x58F38DED ** i & _M32 for i in range(5)]
 
 # Stage 2, flips: Philox4x64-10 (Salmon et al., SC'11) round multipliers
@@ -138,19 +140,35 @@ def _mix(x, y):
     return value ^ (value >> 16)
 
 
+@functools.lru_cache(maxsize=1)  # the chunks of one run share a seed
+def _seed_pool(seed):
+    """The four pool words of ``SeedSequence(seed)``, whose seed below
+    2**64 fills at most two uint32 words: hash calls 0-3 on the words
+    zero-padded to four, then 12 calls that mix each word into the others.
+    """
+    pool = [_hashmix(seed >> 32 * j & _M32, _INDEX_CONSTS, j) for j in range(4)]
+    call = 4
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hashmix(pool[src], _INDEX_CONSTS, call))
+                call += 1
+    return tuple(pool)
+
+
 def _philox_keys(seed, start, stop):
     """Keys of the streams ``SeedSequence(seed, spawn_key=(i,))`` for path
     indices ``start <= i < stop < 2**32``: the two uint64 arrays that
     ``generate_state(2, np.uint64)`` gives, bit for bit.
 
-    A seed below 2**64 fills at most two of the four pool words, and numpy
-    zero-pads it to four before it appends the spawn key, so the mixed
-    pool before the index word is ``SeedSequence(seed).pool``.
+    numpy zero-pads the seed's words to four before it appends the spawn
+    key, so the pool that the index word is mixed into is the seed's own
+    :func:`_seed_pool`; the index word takes hash calls 16-19.
     """
     import numpy as np
-    pool = np.random.SeedSequence(seed).pool.tolist()
     index = np.arange(start, stop, dtype=np.uint64).astype(np.uint32)
-    pool = [_mix(w, _hashmix(index, _INDEX_CONSTS, j)) for j, w in enumerate(pool)]
+    pool = [_mix(w, _hashmix(index, _INDEX_CONSTS, 16 + j))
+            for j, w in enumerate(_seed_pool(seed))]
     words = [_hashmix(w, _OUT_CONSTS, j).astype(np.uint64) for j, w in enumerate(pool)]
     return words[0] | words[1] << 32, words[2] | words[3] << 32
 

@@ -1,5 +1,7 @@
+import argparse
 import contextlib
 import csv
+import inspect
 import io
 import json
 import math
@@ -11,7 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kellymarket.cli import SWEEP_MAX_POINTS, main, sweep_records
+from kellymarket.cli import (COMMANDS, SWEEP_MAX_POINTS, build_parser, main,
+                             sweep_records)
 
 GOLDEN_SIMULATE = (
     '{"N": 10, "p": 0.6, "f": 0.2, "Q": 0, "paths": 2000, "seed": 42, '
@@ -392,6 +395,20 @@ class TestCommandLineRefusals:
     ])
     def test_one_error_line_and_exit_2(self, argv, message):
         assert run_cli_exit(*argv) == (2, "", f"error: {message}\n")
+
+    def test_required_options_follow_the_builders_signatures(self):
+        # an option is required exactly where its builder has no default
+        subparsers, = (action for action in build_parser()._actions
+                       if isinstance(action, argparse._SubParsersAction))
+        assert set(subparsers.choices) == {
+            name for name, command in COMMANDS.items() if command.help}
+        for name, parser in subparsers.choices.items():
+            params = inspect.signature(COMMANDS[name].build).parameters
+            required = {action.dest: action.required
+                        for action in parser._actions if action.dest in params}
+            assert required == {
+                option: params[option].default is inspect.Parameter.empty
+                for option in COMMANDS[name].options}, name
 
     def test_help_still_exits_0(self):
         code, out, err = run_cli_exit("bounds", "--help")

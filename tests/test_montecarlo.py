@@ -116,6 +116,15 @@ class TestEngineAgainstPerPathStreams:
         for j, i in enumerate(range(offset, stop)):
             assert (int(k0[j]), int(k1[j])) == philox_key(seed, i)
 
+    def test_seed_pool_matches_seed_sequence(self):
+        rng = np.random.default_rng(2507)
+        seeds = [0, 1, 42, 2 ** 32 - 1, 2 ** 32, 2 ** 40 + 3, 2 ** 64 - 1,
+                 *(int(s) for s in rng.integers(0, 2 ** 20, 250)),
+                 *(int(s) for s in rng.integers(0, 2 ** 64, 250, dtype=np.uint64))]
+        for seed in seeds:
+            assert montecarlo._seed_pool(seed) == tuple(
+                np.random.SeedSequence(seed).pool.tolist()), seed
+
     @pytest.mark.parametrize("steps", [
         1, 53, BULK_MAX_STEPS - 1, BULK_MAX_STEPS, BULK_MAX_STEPS + 1, 5000,
     ])

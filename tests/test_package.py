@@ -1,3 +1,4 @@
+import collections
 import json
 import os
 import subprocess
@@ -7,6 +8,7 @@ import pytest
 
 import kellymarket
 from kellymarket import clearing, growth, kelly, montecarlo
+from kellymarket.montecarlo import BULK_MAX_STEPS
 
 
 def test_exports_are_the_modules_public_names():
@@ -20,14 +22,18 @@ def test_exports_are_the_modules_public_names():
 
 
 # What a fresh interpreter runs: cli.main on argv with its output
-# swallowed, then the exit code and whether numpy was imported.
+# swallowed, then the exit code, whether numpy was imported, the
+# kellymarket modules loaded, and whether dataclasses and numpy.random
+# were imported.
 _RUN_MAIN = """
 import contextlib, io, json, sys
 from kellymarket.cli import main
 with contextlib.redirect_stdout(io.StringIO()), \\
         contextlib.redirect_stderr(io.StringIO()):
     code = main(json.loads(sys.argv[1]))
-print(json.dumps([code, "numpy" in sys.modules]))
+print(json.dumps([code, "numpy" in sys.modules,
+                  sorted(m for m in sys.modules if m.startswith("kellymarket.")),
+                  "dataclasses" in sys.modules, "numpy.random" in sys.modules]))
 """
 
 _SWEEP = {"fraction": ("q", [0.55, 0.95, 0.05], {"p": 0.5}),
@@ -44,6 +50,7 @@ _FILES = {
     "header.csv": "cap,bel\n1.0,0.5\n",
     "belief.csv": "capital,belief\n2.0,0.4\n1.0,1.5\n",
     "malformed.json": '[{"capital": 1.0, "belief": 0.5},\n',
+    "no-interior.csv": "capital,belief\n1,0\n2,0\n",
 }
 
 
@@ -57,14 +64,20 @@ def run_python(code, *args):
                           capture_output=True, text=True, check=True).stdout
 
 
+Started = collections.namedtuple(
+    "Started", "code numpy modules dataclasses numpy_random")
+
+
 def run_main(tmp_path, argv):
     """``cli.main(argv)`` in a fresh interpreter, file names in argv taken
-    under ``tmp_path``: its exit code and whether it imported numpy."""
+    under ``tmp_path``: its exit code, whether it imported numpy, the
+    kellymarket submodules it loaded, and whether it imported dataclasses
+    and numpy.random."""
     for name, text in _FILES.items():
         (tmp_path / name).write_text(text, encoding="utf-8")
     argv = [str(tmp_path / a) if a.endswith((".csv", ".json")) else a
             for a in argv]
-    return tuple(json.loads(run_python(_RUN_MAIN, json.dumps(argv))))
+    return Started(*json.loads(run_python(_RUN_MAIN, json.dumps(argv))))
 
 
 SCALAR_ARGV = {
@@ -110,9 +123,78 @@ def test_import_leaves_numpy_out():
     *((argv, 2) for argv in REJECTED_ARGV.values()),
 ], ids=[*SCALAR_ARGV, *REJECTED_ARGV])
 def test_scalar_commands_start_without_numpy(tmp_path, argv, expected):
-    assert run_main(tmp_path, argv) == (expected, False)
+    assert run_main(tmp_path, argv)[:2] == (expected, False)
 
 
 @pytest.mark.parametrize("argv", ARRAY_ARGV.values(), ids=list(ARRAY_ARGV))
 def test_array_commands_import_numpy(tmp_path, argv):
-    assert run_main(tmp_path, argv) == (0, True)
+    assert run_main(tmp_path, argv)[:2] == (0, True)
+
+
+def test_import_loads_no_submodule():
+    assert run_python("import sys, kellymarket; print(sorted(m for m in "
+                      "sys.modules if m.startswith('kellymarket')))") \
+        == "['kellymarket']\n"
+
+
+def test_star_import_binds_every_public_name():
+    listed, names = json.loads(run_python(
+        "import json, kellymarket\nlisted = dir(kellymarket)\nnames = {}\n"
+        "exec('from kellymarket import *', names)\n"
+        "print(json.dumps([listed, sorted(set(names) - {'__builtins__'})]))"))
+    assert names == kellymarket.__all__
+    assert len(names) == 40
+    assert set(names) <= set(listed)
+
+
+def test_unknown_attribute_raises_attribute_error():
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        kellymarket.no_such_name
+    assert not hasattr(kellymarket, "no_such_name")
+
+
+# The kellymarket submodules each command loads, past cli and _validation;
+# a refusal loads no more than a result.
+LOADED = {
+    **dict.fromkeys(["fraction", "fraction-alpha", "sweep-fraction", "sweep-growth",
+                     "fraction-p-1"], ["kelly"]),
+    **dict.fromkeys(["kq", "sensitivity-bias", "sensitivity-fraction", "bounds-1000",
+                     "sweep-kq", "sweep-sensitivity", "sweep-bounds", "kq-Q-inf"],
+                    ["growth"]),
+}
+
+
+@pytest.mark.parametrize("name, loaded", LOADED.items(), ids=list(LOADED))
+def test_commands_load_only_the_modules_they_use(tmp_path, name, loaded):
+    started = run_main(tmp_path, {**SCALAR_ARGV, **REJECTED_ARGV}[name])
+    assert started.code == (0 if name in SCALAR_ARGV else 2)
+    assert started.modules == sorted(
+        f"kellymarket.{module}" for module in ["cli", "_validation", *loaded])
+    if loaded == ["kelly"]:
+        assert not started.dataclasses
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (ARRAY_ARGV["clear"], 0),
+    # the exception class is mapped to exit 3 without main importing clearing
+    (["clear", "no-interior.csv"], 3),
+    (REJECTED_ARGV["clear-bad-belief"], 2),
+], ids=["clear", "clear-no-interior", "clear-bad-belief"])
+def test_clear_loads_neither_growth_nor_montecarlo(tmp_path, argv, expected):
+    started = run_main(tmp_path, argv)
+    assert started.code == expected
+    assert "kellymarket.clearing" in started.modules
+    assert not {"kellymarket.growth", "kellymarket.montecarlo"} & set(started.modules)
+
+
+@pytest.mark.parametrize("steps, native", [
+    (10, False), (BULK_MAX_STEPS, False), (BULK_MAX_STEPS + 1, True),
+])
+def test_simulate_imports_numpy_random_only_for_the_native_kernel(tmp_path, steps,
+                                                                  native):
+    started = run_main(tmp_path, ["simulate", "--N", str(steps), "--p", "0.6",
+                                  "--f", "0.2", "--Q", "0", "--paths", "2000",
+                                  "--seed", "42"])
+    assert started.code == 0
+    assert "kellymarket.clearing" not in started.modules
+    assert started.numpy_random is native
