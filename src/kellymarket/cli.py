@@ -124,12 +124,13 @@ def _record_sensitivity(mode, p, eps, N=None, k=None):
 
 
 def _record_simulate(N, p, f, paths, seed, Q=None, workers=1):
+    # --workers still parses, for scripts that pass it; it has no effect
     from . import growth, kelly, montecarlo
     config = montecarlo.SimConfig(
         walk=growth.WalkSpec(N, p), fraction=f, paths=paths, seed=seed,
         threshold=Q,
     )
-    result = montecarlo.run(config, workers)
+    result = montecarlo.run(config)
     exact = z = None
     if Q is not None and 0.0 < f < 1.0:
         _, exact, z = montecarlo.threshold_z(config, result)

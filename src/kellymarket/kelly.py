@@ -147,9 +147,8 @@ def optimal_fraction_alpha(q, p, alpha):
 
 def even_odds_growth_rate(p, f):
     """Per-step expected log growth ``p log(1+f) + (1-p) log(1-f)`` of the
-    double-or-nothing game; maximized at f = 2p - 1."""
+    double-or-nothing game; maximized at f = 2p - 1.  It is
+    :func:`log_utility` at price 1/2, where the payout is the stake."""
     p = check_probability(p, "p")
     f = check_fraction(f, "f", open_interval=True)
-    up = 0.0 if p == 0.0 else p * math.log1p(f)
-    down = 0.0 if p == 1.0 else (1.0 - p) * math.log1p(-f)
-    return up + down
+    return _log_utility(p, 0.5, f, 1.0, f)

@@ -18,13 +18,12 @@ The engine never builds those objects per path.  It works in two stages:
   alone, fixed where the two kernels took equal time per path.
 
 Both kernels reproduce numpy's streams bit for bit, so a result depends
-only on the config.  The ``workers`` argument is accepted for
-compatibility and has no effect.  numpy is imported by the functions
+only on the config.  Only :func:`run` takes a ``workers`` argument, with
+no effect, for the benchmark's probe.  numpy is imported by the functions
 that build arrays, when a run starts, and ``numpy.random`` only by the
 native kernel; building and checking a :class:`SimConfig` needs neither.
 """
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -140,7 +139,6 @@ def _mix(x, y):
     return value ^ (value >> 16)
 
 
-@functools.lru_cache(maxsize=1)  # the chunks of one run share a seed
 def _seed_pool(seed):
     """The four pool words of ``SeedSequence(seed)``, whose seed below
     2**64 fills at most two uint32 words: hash calls 0-3 on the words
@@ -156,10 +154,10 @@ def _seed_pool(seed):
     return tuple(pool)
 
 
-def _philox_keys(seed, start, stop):
+def _philox_keys(pool, start, stop):
     """Keys of the streams ``SeedSequence(seed, spawn_key=(i,))`` for path
-    indices ``start <= i < stop < 2**32``: the two uint64 arrays that
-    ``generate_state(2, np.uint64)`` gives, bit for bit.
+    indices ``start <= i < stop <= 2**32``, from ``_seed_pool(seed)``: the
+    two uint64 arrays that ``generate_state(2, np.uint64)`` gives, bit for bit.
 
     numpy zero-pads the seed's words to four before it appends the spawn
     key, so the pool that the index word is mixed into is the seed's own
@@ -168,7 +166,7 @@ def _philox_keys(seed, start, stop):
     import numpy as np
     index = np.arange(start, stop, dtype=np.uint64).astype(np.uint32)
     pool = [_mix(w, _hashmix(index, _INDEX_CONSTS, 16 + j))
-            for j, w in enumerate(_seed_pool(seed))]
+            for j, w in enumerate(pool)]
     words = [_hashmix(w, _OUT_CONSTS, j).astype(np.uint64) for j, w in enumerate(pool)]
     return words[0] | words[1] << 32, words[2] | words[3] << 32
 
@@ -228,19 +226,19 @@ def _native_up_steps(keys, n, p):
     return counts
 
 
-def _path_up_steps(walk, paths, seed, path_offset=0):
+def _path_up_steps(walk, paths, seed):
     """Up-step count per path; path i draws its flips from the Philox
-    stream keyed by ``SeedSequence(seed, spawn_key=(path_offset + i,))``."""
+    stream keyed by ``SeedSequence(seed, spawn_key=(i,))``."""
     import numpy as np
     n, p = walk.steps, walk.bias
     if n <= BULK_MAX_STEPS:
         kernel, chunk = _bulk_up_steps, max(1, _CHUNK_ELEMENTS // -(-n // 4))
     else:
         kernel, chunk = _native_up_steps, _CHUNK_ELEMENTS
-    stop = path_offset + paths
+    pool = _seed_pool(seed)
     return np.concatenate([
-        kernel(_philox_keys(seed, s, min(s + chunk, stop)), n, p)
-        for s in range(path_offset, stop, chunk)
+        kernel(_philox_keys(pool, s, min(s + chunk, paths)), n, p)
+        for s in range(0, paths, chunk)
     ])
 
 
@@ -275,18 +273,18 @@ def _result(config, up_steps, per_step):
 
 def run(config, workers=1):
     """Simulate the configured walk and return aggregate growth
-    statistics; ``workers`` has no effect."""
+    statistics.  ``workers`` has no effect; it stays only because the
+    benchmark's ``workers2_ratio`` probe (``bench/probes.py``) passes it."""
     up_steps = _path_up_steps(config.walk, config.paths, config.seed)
     return _result(config, up_steps, _per_step_growth(config, up_steps))
 
 
-def compare_strategies(configs, workers=1):
+def compare_strategies(configs):
     """Evaluate several fractions on identical coin-flip streams.
 
     All configs must share walk, paths, and seed, so the flips (and hence
     the up-step counts) are common random numbers and growth differences
     are paired.  Differences are reported against the first config.
-    ``workers`` has no effect.
     """
     configs = list(configs)
     if not configs:
@@ -317,14 +315,14 @@ def compare_strategies(configs, workers=1):
     return rows
 
 
-def threshold_validation(config, workers=1):
+def threshold_validation(config):
     """Compare the simulated threshold-hit frequency with the exact CDF.
 
     Returns ``(empirical, exact, z_score)``; the z-score uses the binomial
     standard error of the empirical frequency and should stay within a few
-    units for a correct engine at 10^4+ paths.  ``workers`` has no effect.
+    units for a correct engine at 10^4+ paths.
     """
-    return threshold_z(config, run(config, workers))
+    return threshold_z(config, run(config))
 
 
 def threshold_z(config, result):

@@ -308,6 +308,28 @@ class TestEvenOddsGrowthRate:
         )
         assert even_odds_growth_rate(0.6, 0.2) == pytest.approx(0.020136, abs=1e-6)
 
+    def test_bits_match_the_two_branch_sum(self):
+        # the per-step sum with its zero-weight branches written out, on a
+        # grid with the extreme weights and stakes; copysign checks the
+        # sign of every zero result as well
+        def two_branch(p, f):
+            up = 0.0 if p == 0.0 else p * math.log1p(f)
+            down = 0.0 if p == 1.0 else (1.0 - p) * math.log1p(-f)
+            return up + down
+
+        rng = np.random.default_rng(1931)
+        top = 1.0 - 2.0 ** -53
+        ps = [0.0, 5e-324, 2.2e-308, 1e-300, 1e-16, 0.25, 0.5, 0.6, top, 1.0,
+              *np.linspace(0.0, 1.0, 201).tolist(), *rng.random(100).tolist()]
+        fs = [x for mag in (0.0, 5e-324, 2.2e-308, 1e-300, 1e-16, 0.5, top)
+              for x in (mag, -mag)]
+        fs += np.linspace(-top, top, 201).tolist() + rng.uniform(-1, 1, 100).tolist()
+        for p in ps:
+            for f in fs:
+                got, want = even_odds_growth_rate(p, f), two_branch(p, f)
+                assert got == want and \
+                    math.copysign(1.0, got) == math.copysign(1.0, want), (p, f)
+
     def test_maximized_at_kelly_fraction(self):
         for p in (0.55, 0.6, 0.75, 0.9):
             assert even_odds_argmax(p) == pytest.approx(2.0 * p - 1.0, abs=1e-5)

@@ -112,7 +112,7 @@ class TestEngineAgainstPerPathStreams:
     @pytest.mark.parametrize("offset", [0, 1, 2 ** 32 - 1])
     def test_keys_match_seed_sequence(self, seed, offset):
         stop = min(offset + 3, 2 ** 32)
-        k0, k1 = montecarlo._philox_keys(seed, offset, stop)
+        k0, k1 = montecarlo._philox_keys(montecarlo._seed_pool(seed), offset, stop)
         for j, i in enumerate(range(offset, stop)):
             assert (int(k0[j]), int(k1[j])) == philox_key(seed, i)
 
@@ -130,7 +130,7 @@ class TestEngineAgainstPerPathStreams:
     ])
     def test_counts_match_per_path_streams(self, steps):
         walk = WalkSpec(steps, 0.6)
-        got = montecarlo._path_up_steps(walk, 23, 7, path_offset=5)
+        got = montecarlo._path_up_steps(walk, 28, 7)[5:]
         assert np.array_equal(got, per_path_up_steps(walk, 23, 7, path_offset=5))
 
     @pytest.mark.parametrize("bias", [1.0 - 1e-12, 1e-9])
@@ -149,11 +149,14 @@ class TestEngineAgainstPerPathStreams:
             assert (word < montecarlo._below(bias)) == (top * 2.0 ** -53 < bias)
 
     def test_counts_near_the_last_path_index(self):
-        walk = WalkSpec(9, 0.45)
-        offset = 2 ** 32 - 4
-        got = montecarlo._path_up_steps(walk, 4, 2 ** 64 - 1, path_offset=offset)
-        assert np.array_equal(
-            got, per_path_up_steps(walk, 4, 2 ** 64 - 1, path_offset=offset))
+        seed, offset = 2 ** 64 - 1, 2 ** 32 - 4
+        keys = montecarlo._philox_keys(montecarlo._seed_pool(seed), offset, 2 ** 32)
+        for kernel, steps in ((montecarlo._bulk_up_steps, 9),
+                              (montecarlo._native_up_steps, BULK_MAX_STEPS + 1)):
+            walk = WalkSpec(steps, 0.45)
+            got = kernel(keys, walk.steps, walk.bias)
+            assert np.array_equal(
+                got, per_path_up_steps(walk, 4, seed, path_offset=offset)), steps
 
     # each case leaves a partial last chunk: chunks of 21, 3 and 64 paths
     # under a 64-element limit, and of 585 paths under the default one
