@@ -69,3 +69,10 @@ def check_positive(value, name):
     if not (math.isfinite(x) and x > 0.0):
         raise ValueError(f"{name} must be a positive finite number, got {value!r}")
     return x
+
+
+def check_nonnegative(value, name):
+    x = as_float(value, name)
+    if not (math.isfinite(x) and x >= 0.0):
+        raise ValueError(f"{name} must be a non-negative finite number, got {value!r}")
+    return x

@@ -1,7 +1,9 @@
 """Command-line front end.
 
 Subcommands: fraction, clear, bounds, kq, sensitivity, simulate, sweep;
-:data:`COMMANDS` holds each one's record builder, help and options.
+:data:`COMMANDS` holds each one's record builder and help, and a
+builder's keyword-only parameters, annotated with their types, are the
+command's options.
 Records print as JSON (15 significant digits) or, with --csv, as a CSV
 table (9 significant digits, plot-bound); sweeps print CSV unless --json
 is given.  Identical invocations give byte-identical output; randomized
@@ -68,7 +70,7 @@ def _format(records, as_csv):
     return buf.getvalue()
 
 
-def _record_fraction(q, p, alpha=1.0):
+def _record_fraction(*, q: float, p: float, alpha: float = 1.0):
     from . import kelly
     if alpha == 1.0:
         f = kelly.optimal_fraction(q, p)
@@ -80,7 +82,7 @@ def _record_fraction(q, p, alpha=1.0):
             "utility_at_fraction": utility}
 
 
-def _record_bounds(N, p, k):
+def _record_bounds(*, N: int, p: float, k: int):
     from . import growth
     spec = growth.WalkSpec(N, p)
     upper = growth.chernoff_upper(spec, k)  # k an integer in [0, N p] from here
@@ -92,19 +94,20 @@ def _record_bounds(N, p, k):
             "rate_per_step": -log_cdf / spec.steps}
 
 
-def _record_kq(f, N, Q):
+def _record_kq(*, f: float, N: int, Q: float):
     from . import growth
     spec = growth.WalkSpec(N, 0.5)  # bias unused by the threshold formula
     return {"f": f, "N": spec.steps, "Q": Q,
             "k_q": growth.threshold_steps(f, spec, Q)}
 
 
-def _record_growth(p, f):
+def _record_growth(*, p: float, f: float):
     from . import kelly
     return {"p": p, "f": f, "growth_rate": kelly.even_odds_growth_rate(p, f)}
 
 
-def _record_sensitivity(mode, p, eps, N=None, k=None):
+def _record_sensitivity(*, mode: ("bias", "fraction"), N: int = None,
+                        k: int = None, p: float, eps: float):
     from . import growth
     if mode == "bias":
         if N is None or k is None:
@@ -123,7 +126,8 @@ def _record_sensitivity(mode, p, eps, N=None, k=None):
     raise ValueError(f"unknown sensitivity mode {mode!r}")
 
 
-def _record_simulate(N, p, f, paths, seed, Q=None, workers=1):
+def _record_simulate(*, N: int, p: float, f: float, Q: float = None,
+                     paths: int, seed: int, workers: int = 1):
     # --workers still parses, for scripts that pass it; it has no effect
     from . import growth, kelly, montecarlo
     config = montecarlo.SimConfig(
@@ -144,7 +148,7 @@ def _record_simulate(N, p, f, paths, seed, Q=None, workers=1):
             "z_score": z}
 
 
-def _record_clear(population_file, tol=None):
+def _record_clear(*, population_file: str, tol: float = None):
     from . import clearing
     pop = load_population(population_file)
     result = clearing.clearing_price(pop, tol=tol)
@@ -163,7 +167,7 @@ def _int_or_inf(token):
         return float(token)
 
 
-def _record_sweep(sweep_file):
+def _record_sweep(*, sweep_file: str):
     with open(sweep_file, encoding="utf-8") as fh:
         try:
             points = _sweep_points(json.load(fh, parse_int=_int_or_inf))
@@ -172,31 +176,25 @@ def _record_sweep(sweep_file):
     return [point() for point in points]
 
 
-Command = collections.namedtuple("Command", "build help options sweep")
+Command = collections.namedtuple("Command", "build help sweep")
 
-# Each command's options map the builder's parameter names to their
-# types, in the order usage lines show them.  An option is required unless
-# the builder gives it a default; a str option is a positional file name
-# and a tuple lists a string's choices.  ``sweep`` marks sweep targets; a
-# command without help is a sweep target only.
+# A builder's keyword-only parameters are its command's options, in the
+# order usage lines show them, each annotated with its type: a str option
+# is a positional file name and a tuple lists a string's choices.  An
+# option is required unless the builder gives it a default.  ``sweep``
+# marks sweep targets; a command without help is a sweep target only.
 COMMANDS = {
-    "fraction": Command(_record_fraction, "optimal bet fraction",
-                        {"q": float, "p": float, "alpha": float}, True),
-    "clear": Command(_record_clear, "solve the market-clearing price",
-                     {"population_file": str, "tol": float}, False),
-    "bounds": Command(_record_bounds, "binomial tail and its bounds",
-                      {"N": int, "p": float, "k": int}, True),
+    "fraction": Command(_record_fraction, "optimal bet fraction", True),
+    "clear": Command(_record_clear, "solve the market-clearing price", False),
+    "bounds": Command(_record_bounds, "binomial tail and its bounds", True),
     "kq": Command(_record_kq, "up-steps needed to hit a log-wealth target",
-                  {"f": float, "N": int, "Q": float}, True),
+                  True),
     "sensitivity": Command(_record_sensitivity, "misestimation penalties",
-                           {"mode": ("bias", "fraction"), "N": int, "k": int,
-                            "p": float, "eps": float}, True),
+                           True),
     "simulate": Command(_record_simulate, "Monte Carlo double-or-nothing run",
-                        {"N": int, "p": float, "f": float, "Q": float,
-                         "paths": int, "seed": int, "workers": int}, False),
-    "sweep": Command(_record_sweep, "CSV table over a parameter grid",
-                     {"sweep_file": str}, False),
-    "growth": Command(_record_growth, None, {"p": float, "f": float}, True),
+                        False),
+    "sweep": Command(_record_sweep, "CSV table over a parameter grid", False),
+    "growth": Command(_record_growth, None, True),
 }
 
 
@@ -264,7 +262,8 @@ def _sweep_points(spec):
     if name not in targets:
         raise ValueError(
             f"unknown sweep command {name!r}; choose from {targets}")
-    build, _, options, _ = COMMANDS[name]
+    build = COMMANDS[name].build
+    options = build.__annotations__
     fixed = spec.get("fixed", {})
     if not isinstance(fixed, dict):
         raise ValueError(f"fixed must be a JSON object, got {fixed!r}")
@@ -316,14 +315,12 @@ def build_parser():
     fmt.add_argument("--csv", action="store_true",
                      help="emit CSV instead of JSON")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (build, help_text, options, _) in COMMANDS.items():
+    for name, (build, help_text, _) in COMMANDS.items():
         if help_text is None:
             continue
         command = sub.add_parser(name, help=help_text)
-        # the builder's defaults belong to its last parameters
-        params = build.__code__.co_varnames[:build.__code__.co_argcount]
-        optional = params[len(params) - len(build.__defaults__ or ()):]
-        for option, kind in options.items():
+        optional = build.__kwdefaults__ or {}
+        for option, kind in build.__annotations__.items():
             if kind is str:
                 command.add_argument(option)
                 continue
@@ -366,12 +363,13 @@ def _attach_negative_values(argv):
 def main(argv=None):
     args = build_parser().parse_args(
         _attach_negative_values(sys.argv[1:] if argv is None else argv))
-    build, _, options, _ = COMMANDS[args.command]
+    build = COMMANDS[args.command].build
     # sweeps default to CSV: they feed plots
     as_csv = args.csv or (args.command == "sweep" and not args.json)
     try:
-        records = build(**{option: getattr(args, option) for option in options
-                            if getattr(args, option) is not None})
+        records = build(**{option: getattr(args, option)
+                           for option in build.__annotations__
+                           if getattr(args, option) is not None})
         text = _format(records if isinstance(records, list) else [records],
                        as_csv)
     except (ValueError, KeyError, TypeError, OSError) as exc:

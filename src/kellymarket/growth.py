@@ -241,8 +241,6 @@ def log_binomial_cdf(spec, k):
     log_p, log_1mp = math.log(p), math.log1p(-p)
     terms = np.array([_log_pmf_term(n, j, log_p, log_1mp) for j in range(kf + 1)])
     m = terms.max()
-    if m == -math.inf:  # every term underflows, the largest too
-        return -math.inf
     # rounding can nudge a near-complete sum past 1; clamp at log(1) = 0
     return min(float(m + math.log(np.exp(terms - m).sum())), 0.0)
 

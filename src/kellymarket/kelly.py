@@ -12,7 +12,7 @@ Conventions:
 
 import math
 
-from ._validation import as_float, check_fraction, check_probability
+from ._validation import check_fraction, check_nonnegative, check_probability
 
 __all__ = [
     "probability_to_odds",
@@ -33,9 +33,7 @@ def probability_to_odds(prob):
 
 def odds_to_probability(odds):
     """Inverse of :func:`probability_to_odds`."""
-    x = as_float(odds, "odds")
-    if not (math.isfinite(x) and x >= 0.0):
-        raise ValueError(f"odds must be a non-negative finite number, got {odds!r}")
+    x = check_nonnegative(odds, "odds")
     return x / (1.0 + x)
 
 
@@ -98,13 +96,6 @@ def optimal_fraction(q, p):
     return _kelly_fraction(q, p)
 
 
-def _check_alpha(alpha):
-    a = as_float(alpha, "alpha")
-    if not (math.isfinite(a) and a >= 0.0):
-        raise ValueError(f"alpha must be >= 0, got {alpha!r}")
-    return a
-
-
 def _power(odds, a):
     """``odds ** a``, or inf where that overflows a double.  The direct
     power is kept where it fits, so those results stay bit for bit."""
@@ -123,7 +114,7 @@ def log_utility_alpha(q, p, f, alpha):
     q = check_probability(q, "q")
     p = check_probability(p, "p", open_interval=True)
     f = check_fraction(f, "f", lo=0.0)
-    a = _check_alpha(alpha)
+    a = check_nonnegative(alpha, "alpha")
     return _log_utility(q, p, f, a, f * _power((1.0 - p) / p, a))
 
 
@@ -140,7 +131,7 @@ def optimal_fraction_alpha(q, p, alpha):
     """
     q = check_probability(q, "q")
     p = check_probability(p, "p", open_interval=True)
-    a = _check_alpha(alpha)
+    a = check_nonnegative(alpha, "alpha")
     f = 1.0 if q == 1.0 else q - (1.0 - q) * _power(p / (1.0 - p), a)
     return max(f, 0.0)
 

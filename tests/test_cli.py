@@ -408,12 +408,30 @@ class TestCommandLineRefusals:
                         for action in parser._actions if action.dest in params}
             assert required == {
                 option: params[option].default is inspect.Parameter.empty
-                for option in COMMANDS[name].options}, name
+                for option in params}, name
+
+    USAGE = {
+        (): "[-h] [--json | --csv] "
+            "{fraction,clear,bounds,kq,sensitivity,simulate,sweep} ...",
+        ("fraction",): "[-h] --q Q --p P [--alpha ALPHA]",
+        ("clear",): "[-h] [--tol TOL] population_file",
+        ("bounds",): "[-h] --N N --p P --k K",
+        ("kq",): "[-h] --f F --N N --Q Q",
+        ("sensitivity",):
+            "[-h] --mode {bias,fraction} [--N N] [--k K] --p P --eps EPS",
+        ("simulate",): "[-h] --N N --p P --f F [--Q Q] --paths PATHS "
+                       "--seed SEED [--workers WORKERS]",
+        ("sweep",): "[-h] sweep_file",
+    }
 
     def test_help_still_exits_0(self):
-        code, out, err = run_cli_exit("bounds", "--help")
-        assert (code, err) == (0, "")
-        assert out.startswith("usage: kellymarket bounds")
+        # usage lines wrap to the terminal width, so whitespace is collapsed
+        for command, usage in self.USAGE.items():
+            code, out, err = run_cli_exit(*command, "--help")
+            assert (code, err) == (0, "")
+            printed = " ".join(out.split("\n\n")[0].split())
+            assert printed == " ".join(
+                ["usage: kellymarket", *command, usage]), command
 
 
 class TestNegativeValues:
@@ -547,6 +565,14 @@ class TestSweep:
             "range": [0.25, 2.0, 1.75], "fixed": {"q": 0.9, "p": 0.85},
         })
         assert records[0]["fraction"] > records[-1]["fraction"]
+
+    def test_rounded_span_past_stop_stops_at_stop(self):
+        # (0.9 - 0.5) / 0.15 = 2.67 rounds to 3 steps, and 0.95 is past stop
+        records = sweep_records({
+            "command": "fraction", "variable": "q",
+            "range": [0.5, 0.9, 0.15], "fixed": {"p": 0.5},
+        })
+        assert [record["q"] for record in records] == [0.5, 0.65, 0.8]
 
     def test_bad_range_exits_2(self, tmp_path, capsys):
         path = tmp_path / "sweep.json"

@@ -288,6 +288,12 @@ class TestRatePerStep:
         with pytest.raises(ValueError):
             rate_per_step(WalkSpec(10, 0.6), -1)
 
+    def test_rejects_a_zero_tail(self):
+        # k = 0 asks for 10^308 down-steps, each of probability 10^-5:
+        # the log tail is -inf
+        with pytest.raises(ValueError, match="tail probability is zero"):
+            rate_per_step(WalkSpec(10 ** 308, 0.99999), 0)
+
 
 class TestThresholdSteps:
     def test_all_down_path(self):

@@ -213,6 +213,10 @@ class TestCompareStrategies:
         with pytest.raises(ValueError):
             compare_strategies([a, b])
 
+    def test_rejects_no_configs(self):
+        with pytest.raises(ValueError, match="need at least one config"):
+            compare_strategies([])
+
     def test_kelly_beats_perturbed_fraction(self):
         f_star = 0.2  # 2p - 1 at p = 0.6
         rows = compare_strategies([self.make(f_star), self.make(f_star + 0.1)])
@@ -289,3 +293,8 @@ class TestThresholdValidation:
     def test_requires_threshold(self):
         with pytest.raises(ValueError):
             threshold_validation(SimConfig(WalkSpec(10, 0.6), 0.2, 100, 1))
+
+    def test_requires_a_fraction_inside_0_1(self):
+        config = SimConfig(WalkSpec(10, 0.6), 0.0, 100, 1, threshold=0.0)
+        with pytest.raises(ValueError, match=re.escape("needs f in (0, 1)")):
+            threshold_validation(config)

@@ -1,3 +1,4 @@
+import math
 import re
 
 import pytest
@@ -9,7 +10,11 @@ from kellymarket.growth import (
     sensitivity_fraction,
     threshold_steps,
 )
-from kellymarket.kelly import odds_to_probability, optimal_fraction_alpha
+from kellymarket.kelly import (
+    log_utility_alpha,
+    odds_to_probability,
+    optimal_fraction_alpha,
+)
 from kellymarket.montecarlo import SimConfig
 
 
@@ -34,4 +39,16 @@ from kellymarket.montecarlo import SimConfig
         "check_positive"])
 def test_real_parameter_refused_by_name(call, name, value, detail):
     with pytest.raises(ValueError, match=f"^{re.escape(f'{name} {detail}')}$"):
+        call(value)
+
+
+@pytest.mark.parametrize("value", [-1.0, math.inf, math.nan])
+@pytest.mark.parametrize("call, name", [
+    (odds_to_probability, "odds"),
+    (lambda v: optimal_fraction_alpha(0.9, 0.5, v), "alpha"),
+    (lambda v: log_utility_alpha(0.9, 0.5, 0.1, v), "alpha"),
+], ids=["odds", "optimal_fraction_alpha", "log_utility_alpha"])
+def test_negative_or_non_finite_refused_by_name(call, name, value):
+    message = f"{name} must be a non-negative finite number, got {value!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call(value)
