@@ -26,7 +26,7 @@ the two-investor closed forms at the end run without it.
 import math
 from dataclasses import dataclass, field
 
-from ._sums import _fsum
+from ._exact import _fsum
 from ._validation import check_positive, check_probability
 from .kelly import _kelly_fraction, optimal_fraction
 

@@ -271,6 +271,10 @@ def _sweep_points(spec):
         if key not in list(options):
             raise ValueError(f"{field} {key!r} is not a parameter of {name}; "
                              f"choose from {list(options)}")
+    given = {variable, *fixed, *(build.__kwdefaults__ or ())}
+    unset = [option for option in options if option not in given]
+    if unset:
+        raise ValueError(f"fixed must set {unset[0]!r}, a required parameter of {name}")
     try:
         start, stop, step = (float(x) for x in bounds)
     except (TypeError, ValueError):

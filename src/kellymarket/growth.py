@@ -17,14 +17,12 @@ The number of up-steps at which terminal log-wealth hits a threshold Q
 turns those tails into statements about betting strategies.
 D and both misjudgment losses are sums of deviances x log(x/m) + m - x
 from one core, :func:`_bd0`, so none of them cancels at a small edge.
-
-numpy is imported only for tails of at most :data:`LOOP_MAX_STEPS` steps,
-whose bits it pins, so everything else here runs without it.
 """
 
 import math
 from dataclasses import dataclass
 
+from ._exact import _bd0, _n_times, _pairwise_sum
 from ._validation import as_float, check_finite, check_integer, check_probability
 
 __all__ = [
@@ -66,8 +64,8 @@ class WalkSpec:
 
 
 # Horizons of at most this many steps take each pmf term from an exact
-# big-integer binomial coefficient and sum the terms in numpy, longer ones
-# walk a window out from the closed-form anchor.  The golden and
+# big-integer binomial coefficient and add them all in numpy's order, longer
+# ones walk a window out from the closed-form anchor.  The golden and
 # bit-identity tests pin the short horizons' bits, such as the CLI's at
 # N = 10, up to this value.
 LOOP_MAX_STEPS = 54
@@ -89,15 +87,6 @@ def _log_pmf_term(n, k, log_p, log_1mp):
     return math.log(math.comb(n, k)) + k * log_p + (n - k) * log_1mp
 
 
-def _exact_product(count, x):
-    """``count * x`` as two doubles whose sum is exact for counts of at
-    most 27 significant bits: x is split into halves of at most 26 bits
-    (Veltkamp)."""
-    t = 134217729.0 * x  # 2^27 + 1
-    hi = t - (t - x)
-    return count * hi, count * (x - hi)
-
-
 def _stirlerr(n):
     """Stirling's error log(n!) - (n + 1/2) log n + n - log(2 pi)/2 for an
     integer n >= 1: directly below 16, else its series to the 1/n^9 term,
@@ -108,15 +97,6 @@ def _stirlerr(n):
     x = float(n)
     y = 1.0 / (x * x)  # 0 near N = 1e308, where x * x overflows
     return (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - y / 1188) * y) * y) * y) / x
-
-
-def _n_times(n, p):
-    """``n * p`` as four doubles whose sum is exact for n below 2^53:
-    n = hi + lo with hi of 26 bits and lo of at most 27, each times p as
-    in :func:`_exact_product` (Dekker's two-by-two product)."""
-    shift = max(n.bit_length() - 26, 0)
-    hi = n >> shift << shift
-    return _exact_product(hi, p) + _exact_product(n - hi, p)
 
 
 def _log_pmf_anchor(n, p, m):
@@ -220,9 +200,9 @@ def log_binomial_cdf(spec, k):
 
     Fractional k is floored to the nearest smaller integer rather than
     interpolated.  A NaN k is a ``ValueError``.  Up to
-    :data:`LOOP_MAX_STEPS` steps every term is summed, in numpy; above,
-    no numpy: a window of at most about 9 standard deviations each way is
-    walked out from min(k, mode) until the terms left out, bounded by a geometric series,
+    :data:`LOOP_MAX_STEPS` steps every term is summed; above, a window of
+    at most about 9 standard deviations each way is walked out from
+    min(k, mode) until the terms left out, bounded by a geometric series,
     fall below 2^-60 of the sum, as in :func:`_log_cdf_window`.  A window
     of more than :data:`WINDOW_MAX_TERMS` terms is a ``ValueError`` naming
     N, raised before it is walked.
@@ -237,42 +217,17 @@ def log_binomial_cdf(spec, k):
     kf = math.floor(k)
     if n > LOOP_MAX_STEPS:
         return _log_cdf_window(n, p, kf)
-    import numpy as np
     log_p, log_1mp = math.log(p), math.log1p(-p)
-    terms = np.array([_log_pmf_term(n, j, log_p, log_1mp) for j in range(kf + 1)])
-    m = terms.max()
+    terms = [_log_pmf_term(n, j, log_p, log_1mp) for j in range(kf + 1)]
+    m = max(terms)
     # rounding can nudge a near-complete sum past 1; clamp at log(1) = 0
-    return min(float(m + math.log(np.exp(terms - m).sum())), 0.0)
+    return min(m + math.log(_pairwise_sum([math.exp(t - m) for t in terms])), 0.0)
 
 
 def binomial_cdf(spec, k):
     """P(up-steps <= floor(k)); use :func:`log_binomial_cdf` when the tail
     underflows."""
     return math.exp(log_binomial_cdf(spec, k))
-
-
-def _bd0(x, m, d):
-    """Deviance ``x log(x/m) + m - x`` >= 0 of x >= 0 from m > 0, given
-    ``d = x - m`` exactly.  The direct form cancels near x = m, where Loader's
-    series in v = d/(x + m), d v + 2 x v (v^2/3 + v^4/5 + ...), does not; v
-    is split as vh + dh, with vh of 26 bits, so that d vh is exact."""
-    u = x + m
-    if not -0.6 * u < d < 0.7 * u:  # past these the direct form is closer
-        r = x / m if x else 1.0  # 0 log 0 = 0; x / m overflows at a subnormal m
-        return x * (math.log(r) if r < math.inf else math.log(x) - math.log(m)) - d
-    vh = _exact_product(1.0, d / u)[0]  # d / u cut to 26 bits
-    p1, p2 = _exact_product(vh, u)  # vh u, exactly
-    z = u - x  # x + m = u + (x - (u - z)) + (m - z) exactly
-    dh = (((d - p1) - p2) - vh * ((x - (u - z)) + (m - z))) / u
-    v = vh + dh
-    tail, term, j = 0.0, v * v, 3
-    while tail + term / j != tail:
-        tail, term, j = tail + term / j, term * v * v, j + 2
-    # d vh exactly, d dh, the series at the rounded v, and the series'
-    # slope 2 x v^2 / (1 - v^2) times the rounding (vh + dh) - v
-    q1, q2 = _exact_product(vh, d)
-    return q1 + (q2 + d * dh + 2.0 * x * v * tail
-                 + ((vh - v) + dh) * 2.0 * x * v * v / (1.0 - v * v))
 
 
 def kl_divergence(a, p):

@@ -89,7 +89,8 @@ def big_integer_log_binomial_cdf(n, p, k):
     whose binomial coefficients are exact big integers, then max +
     log-sum-exp clamped at 0: the term loop ``growth`` uses for short
     horizons, kept here to pin those bits and as a second large-N
-    reference (its cost grows as about k^1.7)."""
+    reference (its cost grows as about k^1.7).  Each exp is libm's, and
+    numpy's own sum adds them, in the order that ``growth`` writes out."""
     log_p, log_1mp = math.log(p), math.log1p(-p)
     terms = np.empty(k + 1)
     c = 1
@@ -97,7 +98,7 @@ def big_integer_log_binomial_cdf(n, p, k):
         terms[i] = math.log(c) + i * log_p + (n - i) * log_1mp
         c = c * (n - i) // (i + 1)
     m = terms.max()
-    return min(float(m + math.log(np.exp(terms - m).sum())), 0.0)
+    return min(float(m + math.log(np.array([math.exp(t) for t in terms - m]).sum())), 0.0)
 
 
 def mpmath_log_binomial_cdf(n, p, k):

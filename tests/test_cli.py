@@ -627,6 +627,8 @@ class TestSweepFileChecks:
          r"unknown sweep command \['growth'\]"),
         ('{"command": "simulate", "variable": "f", "range": [0, 0.5, 0.1]}',
          r"unknown sweep command 'simulate'"),
+        ('{"command": "fraction", "variable": "q", "range": [0.5, 0.6, 0.1]}',
+         r"fixed must set 'p', a required parameter of fraction"),
         ('{"command": ', r"Expecting value"),
     ])
     def test_exit_2_naming_the_file_and_field(self, tmp_path, capsys, text,

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kellymarket import _sums
-from kellymarket._sums import _FSUM_MIN_EXTRACT, _fsum
+from kellymarket import _exact
+from kellymarket._exact import _FSUM_MIN_EXTRACT, _fsum, _pairwise_sum
 
 SIZES = (_FSUM_MIN_EXTRACT - 1, _FSUM_MIN_EXTRACT, _FSUM_MIN_EXTRACT + 1,
          1000, 4097)
@@ -133,4 +133,14 @@ def test_extraction_certifies_without_math_fsum_over_the_values(monkeypatch):
     for kind in ("pareto", "mixed"):
         values = array(3, 10 ** 4, kind)
         assert _fsum(values) == fsum(values)
-    assert lengths and max(lengths) <= _sums._LEVELS + 2
+    assert lengths and max(lengths) <= _exact._LEVELS + 2
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_pairwise_sum_adds_in_numpys_order(seed):
+    # numpy's float64 add.reduce order, bit for bit; the built-in sum, which
+    # compensates its rounding from Python 3.12 on, would not keep it
+    rng = np.random.default_rng(seed)
+    for n in range(1, 129):
+        values = np.ldexp(rng.uniform(-1.0, 1.0, n), rng.integers(-40, 41, n))
+        assert _pairwise_sum(values.tolist()).hex() == np.add.reduce(values).hex(), n

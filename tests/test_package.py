@@ -54,11 +54,11 @@ _FILES = {
 }
 
 
-def run_python(code, *args):
+def run_python(code, *args, **environ):
     """stdout of ``python -c code args`` in a fresh interpreter that
-    imports this kellymarket."""
+    imports this kellymarket, with ``environ`` added to its environment."""
     src = os.path.dirname(os.path.dirname(kellymarket.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    env = dict(os.environ, **environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     return subprocess.run([sys.executable, "-c", code, *args], env=env,
                           capture_output=True, text=True, check=True).stdout
@@ -88,6 +88,7 @@ SCALAR_ARGV = {
                          "--p", "0.6", "--eps", "0.01"],
     "sensitivity-fraction": ["sensitivity", "--mode", "fraction", "--p", "0.6",
                              "--eps", "0.05"],
+    "bounds": ["bounds", "--N", "10", "--p", "0.6", "--k", "4"],
     "bounds-1000": ["bounds", "--N", "1000", "--p", "0.6", "--k", "550"],
     **{f"sweep-{command}": ["sweep", f"{command}.json"]
        for command in ("fraction", "kq", "growth", "sensitivity", "bounds")},
@@ -106,7 +107,6 @@ REJECTED_ARGV = {
 }
 
 ARRAY_ARGV = {
-    "bounds": ["bounds", "--N", "10", "--p", "0.6", "--k", "4"],
     "simulate": ["simulate", "--N", "10", "--p", "0.6", "--f", "0.2", "--Q", "0",
                  "--paths", "2000", "--seed", "42"],
     "clear": ["clear", "population.csv"],
@@ -129,6 +129,20 @@ def test_scalar_commands_start_without_numpy(tmp_path, argv, expected):
 @pytest.mark.parametrize("argv", ARRAY_ARGV.values(), ids=list(ARRAY_ARGV))
 def test_array_commands_import_numpy(tmp_path, argv):
     assert run_main(tmp_path, argv)[:2] == (0, True)
+
+
+@pytest.mark.parametrize("argv", [
+    ["bounds", "--N", "31", "--p", "0.95", "--k", "25"],
+    ["simulate", "--N", "10", "--p", "0.3", "--f", "0.2", "--Q", "0.8095527976691352",
+     "--paths", "2000", "--seed", "42"],
+], ids=["bounds", "simulate"])
+def test_output_does_not_depend_on_numpys_cpu_dispatch(argv):
+    # numpy picks its loops by CPU, its own SIMD exp on AVX512 and libm's
+    # below; limited to AVX2 (X86_V3), a run must print the same bytes
+    code = "import sys; from kellymarket.cli import main; sys.exit(main())"
+    printed = run_python(code, *argv)
+    assert printed
+    assert run_python(code, *argv, NPY_ENABLE_CPU_FEATURES="X86_V3") == printed
 
 
 def test_import_loads_no_submodule():
@@ -160,7 +174,7 @@ LOADED = {
                      "fraction-p-1"], ["kelly"]),
     **dict.fromkeys(["kq", "sensitivity-bias", "sensitivity-fraction", "bounds-1000",
                      "sweep-kq", "sweep-sensitivity", "sweep-bounds", "kq-Q-inf"],
-                    ["growth"]),
+                    ["growth", "_exact"]),
 }
 
 
