@@ -14,17 +14,19 @@ grid holds at most :data:`SWEEP_MAX_POINTS` points.
 Exit codes: 0 success, 2 bad input or precondition violation, 3 no
 interior clearing price exists.  A failure prints one ``error:`` line to
 stderr and nothing to stdout, naming the population or sweep file at
-fault; a record holding a non-finite number is refused naming its field.
+fault, and the row or grid point (each counted from 1); a record holding
+a non-finite number is refused naming its field.
 
 Start-up loads only what a command uses: each record builder imports its
 library module when it runs, so ``fraction`` and the ``fraction`` and
 ``growth`` sweeps load ``kelly`` alone; ``bounds``, ``kq`` and
 ``sensitivity`` load ``growth``; ``clear`` loads ``clearing``; and
-``simulate`` loads ``montecarlo``.
+``simulate`` loads ``montecarlo``.  Only ``clear`` and ``simulate``
+import ``dataclasses``, and ``csv`` is imported only to write ``--csv``
+output or to read a CSV population.
 """
 import argparse
 import collections
-import csv
 import functools
 import io
 import json
@@ -62,6 +64,7 @@ def _format(records, as_csv):
                             for k, v in rec.items()) + "}\n"
             for rec in records
         )
+    import csv
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(records[0])
@@ -170,10 +173,18 @@ def _int_or_inf(token):
 def _record_sweep(*, sweep_file: str):
     with open(sweep_file, encoding="utf-8") as fh:
         try:
-            points = _sweep_points(json.load(fh, parse_int=_int_or_inf))
+            spec = json.load(fh, parse_int=_int_or_inf)
+            points = _sweep_points(spec)
         except ValueError as exc:  # invalid JSON included
             raise ValueError(f"{sweep_file}: {exc}") from None
-    return [point() for point in points]
+    variable, records = spec["variable"], []
+    for i, point in enumerate(points, start=1):  # counted as population rows are
+        try:
+            records.append(point())
+        except ValueError as exc:
+            raise ValueError(f"{sweep_file}: point {i} ({variable} = "
+                             f"{point.keywords[variable]}): {exc}") from None
+    return records
 
 
 Command = collections.namedtuple("Command", "build help sweep")
@@ -215,6 +226,7 @@ def load_population(path):
         except ValueError as exc:  # an integer past the digit limit, too
             raise ValueError(f"{path}: invalid JSON: {exc}") from None
     else:
+        import csv
         rows = csv.DictReader(io.StringIO(text))
         if rows.fieldnames is None or \
                 {"capital", "belief"} - set(rows.fieldnames):

@@ -17,10 +17,12 @@ The number of up-steps at which terminal log-wealth hits a threshold Q
 turns those tails into statements about betting strategies.
 D and both misjudgment losses are sums of deviances x log(x/m) + m - x
 from one core, :func:`_bd0`, so none of them cancels at a small edge.
+The module imports only ``math`` and the package's own helpers, and
+:class:`WalkSpec` is a plain class with ``__slots__`` rather than a
+dataclass, so the commands built on it start without ``dataclasses``.
 """
 
 import math
-from dataclasses import dataclass
 
 from ._exact import _bd0, _n_times, _pairwise_sum
 from ._validation import as_float, check_finite, check_integer, check_probability
@@ -47,20 +49,43 @@ class OutOfValidityRegion(ValueError):
     """The exponential tail bounds only hold on the lower tail k <= N p."""
 
 
-@dataclass(frozen=True)
 class WalkSpec:
-    """Biased coin walk: ``steps`` flips, each up with probability ``bias``."""
+    """Biased coin walk: ``steps`` flips, each up with probability ``bias``.
 
-    steps: int
-    bias: float
+    Immutable, and compared, hashed and printed by value as a frozen
+    dataclass is, but a plain class, so that importing it loads no
+    ``dataclasses``; ``dataclasses.fields``, ``replace`` and ``asdict`` do
+    not apply to it.  Copies and unpickled instances are checked again.
+    """
 
-    def __post_init__(self):
-        steps = check_integer(self.steps, "steps", "a positive integer", 1, math.inf)
+    __slots__ = __match_args__ = ("steps", "bias")
+
+    def __init__(self, steps, bias):
+        steps = check_integer(steps, "steps", "a positive integer", 1, math.inf)
         as_float(steps, "steps")  # every formula here takes N as a float
         object.__setattr__(self, "steps", steps)
         object.__setattr__(
-            self, "bias", check_probability(self.bias, "bias", open_interval=True)
-        )
+            self, "bias", check_probability(bias, "bias", open_interval=True))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.steps, self.bias) == (other.steps, other.bias)
+
+    def __hash__(self):
+        return hash((self.steps, self.bias))
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}(steps={self.steps!r}, bias={self.bias!r})"
+
+    def __reduce__(self):
+        return type(self), (self.steps, self.bias)
 
 
 # Horizons of at most this many steps take each pmf term from an exact

@@ -662,7 +662,8 @@ class TestSweepFileChecks:
             f'"range": [0.5, 0.6, 0.1], "fixed": {fixed}}}'))
         code = main(["sweep", path])
         captured = capsys.readouterr()
-        assert (code, captured.out, captured.err) == (2, "", f"error: {message}\n")
+        assert (code, captured.out, captured.err) == (
+            2, "", f"error: {path}: point 1 ({variable} = 0.5): {message}\n")
 
     # int() and float() name no parameter for a string, None or a list,
     # float() of a JSON integer past the float range raises OverflowError,
@@ -700,7 +701,8 @@ class TestSweepFileChecks:
             f'"range": [0.5, 0.5, 0.1], "fixed": {fixed}}}'))
         code = main(["sweep", path])
         captured = capsys.readouterr()
-        assert (code, captured.out, captured.err) == (2, "", f"error: {message}\n")
+        assert (code, captured.out, captured.err) == (
+            2, "", f"error: {path}: point 1 ({variable} = 0.5): {message}\n")
 
     @pytest.mark.parametrize("position", range(3))
     def test_range_integer_beyond_the_float_range_exits_2(self, tmp_path, capsys,
@@ -731,8 +733,28 @@ class TestSweepFileChecks:
             "command": "growth", "variable": "p", "range": [0.5, 1.5, 0.25],
             "fixed": {"f": 0.2}})
         assert main(["sweep", path]) == 2
-        assert capsys.readouterr().err == \
-            "error: p must lie in [0, 1], got 1.25\n"
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == \
+            f"error: {path}: point 4 (p = 1.25): p must lie in [0, 1], got 1.25\n"
+
+    @pytest.mark.parametrize("command, variable, bounds, fixed, point", [
+        # an integer option's points are rounded, and name the rounded value
+        ("bounds", "k", [0, 20, 2.5], {"N": 10, "p": 0.6}, "point 4 (k = 8)"),
+        ("sensitivity", "eps", [0.1, 0.7, 0.2], {"mode": "fraction", "p": 0.8},
+         "point 3 (eps = 0.5)"),
+        ("fraction", "q", [0.5, 0.9, 0.2], {"p": 0.5, "alpha": -1}, "point 1 (q = 0.5)"),
+    ])
+    def test_first_failing_point_is_named(self, tmp_path, capsys, command,
+                                          variable, bounds, fixed, point):
+        path = write_sweep(tmp_path / "sweep.json", {
+            "command": command, "variable": variable, "range": bounds,
+            "fixed": fixed})
+        assert main(["sweep", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith(f"error: {path}: {point}: ")
 
 
 class TestOutputPolicy:

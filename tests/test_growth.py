@@ -1,6 +1,9 @@
+import copy
+import dataclasses
 import functools
 import itertools
 import math
+import pickle
 import re
 import sys
 import time
@@ -14,6 +17,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from kellymarket import growth
+from kellymarket._validation import as_float, check_integer, check_probability
 from kellymarket.growth import (
     LOOP_MAX_STEPS,
     WINDOW_MAX_TERMS,
@@ -65,6 +69,100 @@ class TestWalkSpec:
             WalkSpec(10, 0.0)
         with pytest.raises(ValueError):
             WalkSpec(10, 1.0)
+
+
+@dataclasses.dataclass(frozen=True)
+class DataclassWalkSpec:
+    """The reference: ``WalkSpec`` as the frozen dataclass it used to be."""
+
+    steps: int
+    bias: float
+
+    def __post_init__(self):
+        steps = check_integer(self.steps, "steps", "a positive integer", 1, math.inf)
+        as_float(steps, "steps")
+        object.__setattr__(self, "steps", steps)
+        object.__setattr__(
+            self, "bias", check_probability(self.bias, "bias", open_interval=True))
+
+
+def outcome(call):
+    """What ``call()`` returns, or the class and message of what it raises;
+    the reference's ``FrozenInstanceError`` counts as ``AttributeError``."""
+    try:
+        return "returned", call()
+    except AttributeError as exc:
+        return AttributeError, str(exc)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+class TestWalkSpecKeepsTheDataclassContract:
+    ARGS = [(10, 0.6), (10.0, 0.6), (1, 5e-324), (2 ** 60, 1.0 - 2.0 ** -53)]
+
+    @pytest.mark.parametrize("steps, bias", ARGS)
+    def test_fields_hash_repr_and_match(self, steps, bias):
+        spec, ref = WalkSpec(steps, bias), DataclassWalkSpec(steps, bias)
+        assert WalkSpec(steps=steps, bias=bias) == spec
+        assert (spec.steps, spec.bias) == (ref.steps, ref.bias)
+        assert type(spec.steps) is type(ref.steps) is int
+        assert hash(spec) == hash(ref) == hash((ref.steps, ref.bias))
+        assert repr(spec) == repr(ref).replace("DataclassWalkSpec", "WalkSpec")
+        assert WalkSpec.__match_args__ == DataclassWalkSpec.__match_args__
+        match spec:
+            case WalkSpec(n, p):
+                assert (n, p) == (ref.steps, ref.bias)
+
+    def test_equality(self):
+        spec, ref = WalkSpec(10, 0.6), DataclassWalkSpec(10, 0.6)
+        for other, same in [(WalkSpec(10.0, 0.6), True), (WalkSpec(11, 0.6), False),
+                            (WalkSpec(10, 0.7), False)]:
+            assert (spec == other, spec != other) == (same, not same)
+            ref_other = DataclassWalkSpec(other.steps, other.bias)
+            assert (ref == ref_other) is same
+        for other in [(10, 0.6), ref, None, 10]:
+            assert spec.__eq__(other) is NotImplemented
+            assert spec != other
+        assert ref.__eq__(spec) is NotImplemented
+        assert ref.__eq__((10, 0.6)) is NotImplemented
+
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_pickles(self, protocol):
+        spec = WalkSpec(2 ** 60, 0.1)
+        back = pickle.loads(pickle.dumps(spec, protocol))
+        assert type(back) is WalkSpec
+        assert (back, back.steps, back.bias) == (spec, 2 ** 60, 0.1)
+
+    def test_unpickling_checks_again(self):
+        text = pickle.dumps(WalkSpec(10, 0.25), 0)
+        assert text.count(b"F0.25\n") == 1
+        with pytest.raises(ValueError,
+                           match=r"^bias must lie strictly inside \(0, 1\), got 1.25$"):
+            pickle.loads(text.replace(b"F0.25\n", b"F1.25\n"))
+
+    @pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy])
+    def test_copies(self, clone):
+        spec = WalkSpec(10, 0.6)
+        copied = clone(spec)
+        assert (type(copied), copied) == (WalkSpec, spec)
+
+    @pytest.mark.parametrize("name", ["steps", "bias", "other"])
+    def test_immutable(self, name):
+        spec, ref = WalkSpec(10, 0.6), DataclassWalkSpec(10, 0.6)
+        for change in [lambda x: setattr(x, name, 3), lambda x: delattr(x, name)]:
+            assert outcome(lambda: change(spec)) == outcome(lambda: change(ref))
+            assert outcome(lambda: change(spec))[0] is AttributeError
+        assert (spec.steps, spec.bias) == (10, 0.6)
+        assert not hasattr(spec, "__dict__")
+
+    @pytest.mark.parametrize("steps, bias", [
+        (0, 0.5), (1.5, 0.5), (math.nan, 0.5), ("ten", 0.5), (10 ** 400, 0.5),
+        (10, 0.0), (10, 1.0), (10, math.nan), (0, math.nan),
+    ])
+    def test_same_refusals(self, steps, bias):
+        refused = outcome(lambda: WalkSpec(steps, bias))
+        assert refused[0] is ValueError
+        assert refused == outcome(lambda: DataclassWalkSpec(steps, bias))
 
 
 # int() of inf, NaN or a string raises an error that names no parameter,

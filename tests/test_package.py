@@ -23,8 +23,8 @@ def test_exports_are_the_modules_public_names():
 
 # What a fresh interpreter runs: cli.main on argv with its output
 # swallowed, then the exit code, whether numpy was imported, the
-# kellymarket modules loaded, and whether dataclasses and numpy.random
-# were imported.
+# kellymarket modules loaded, and whether dataclasses, numpy.random,
+# inspect and csv were imported.
 _RUN_MAIN = """
 import contextlib, io, json, sys
 from kellymarket.cli import main
@@ -33,7 +33,8 @@ with contextlib.redirect_stdout(io.StringIO()), \\
     code = main(json.loads(sys.argv[1]))
 print(json.dumps([code, "numpy" in sys.modules,
                   sorted(m for m in sys.modules if m.startswith("kellymarket.")),
-                  "dataclasses" in sys.modules, "numpy.random" in sys.modules]))
+                  *(m in sys.modules for m in ["dataclasses", "numpy.random",
+                                               "inspect", "csv"])]))
 """
 
 _SWEEP = {"fraction": ("q", [0.55, 0.95, 0.05], {"p": 0.5}),
@@ -65,14 +66,14 @@ def run_python(code, *args, **environ):
 
 
 Started = collections.namedtuple(
-    "Started", "code numpy modules dataclasses numpy_random")
+    "Started", "code numpy modules dataclasses numpy_random inspect csv")
 
 
 def run_main(tmp_path, argv):
     """``cli.main(argv)`` in a fresh interpreter, file names in argv taken
     under ``tmp_path``: its exit code, whether it imported numpy, the
-    kellymarket submodules it loaded, and whether it imported dataclasses
-    and numpy.random."""
+    kellymarket submodules it loaded, and whether it imported dataclasses,
+    numpy.random, inspect and csv."""
     for name, text in _FILES.items():
         (tmp_path / name).write_text(text, encoding="utf-8")
     argv = [str(tmp_path / a) if a.endswith((".csv", ".json")) else a
@@ -145,10 +146,23 @@ def test_output_does_not_depend_on_numpys_cpu_dispatch(argv):
     assert run_python(code, *argv, NPY_ENABLE_CPU_FEATURES="X86_V3") == printed
 
 
+_PRINT_LOADED = "print(sorted(m for m in sys.modules if m.startswith('kellymarket')))"
+
+
 def test_import_loads_no_submodule():
-    assert run_python("import sys, kellymarket; print(sorted(m for m in "
-                      "sys.modules if m.startswith('kellymarket')))") \
-        == "['kellymarket']\n"
+    assert run_python("import sys, kellymarket; " + _PRINT_LOADED) == "['kellymarket']\n"
+
+
+def test_cli_import_loads_no_library_module():
+    assert run_python("import sys\nfrom kellymarket import cli\n" + _PRINT_LOADED) \
+        == "['kellymarket', 'kellymarket._validation', 'kellymarket.cli']\n"
+
+
+def test_private_name_is_not_searched_for():
+    assert run_python(
+        "import sys, kellymarket\ntry:\n    kellymarket._no_such_name\n"
+        "except AttributeError as exc:\n    print(exc)\n" + _PRINT_LOADED) \
+        == "module 'kellymarket' has no attribute '_no_such_name'\n['kellymarket']\n"
 
 
 def test_star_import_binds_every_public_name():
@@ -172,8 +186,9 @@ def test_unknown_attribute_raises_attribute_error():
 LOADED = {
     **dict.fromkeys(["fraction", "fraction-alpha", "sweep-fraction", "sweep-growth",
                      "fraction-p-1"], ["kelly"]),
-    **dict.fromkeys(["kq", "sensitivity-bias", "sensitivity-fraction", "bounds-1000",
-                     "sweep-kq", "sweep-sensitivity", "sweep-bounds", "kq-Q-inf"],
+    **dict.fromkeys(["kq", "sensitivity-bias", "sensitivity-fraction", "bounds",
+                     "bounds-1000", "sweep-kq", "sweep-sensitivity", "sweep-bounds",
+                     "kq-Q-inf"],
                     ["growth", "_exact"]),
 }
 
@@ -184,8 +199,9 @@ def test_commands_load_only_the_modules_they_use(tmp_path, name, loaded):
     assert started.code == (0 if name in SCALAR_ARGV else 2)
     assert started.modules == sorted(
         f"kellymarket.{module}" for module in ["cli", "_validation", *loaded])
-    if loaded == ["kelly"]:
-        assert not started.dataclasses
+    assert not (started.dataclasses or started.inspect)
+    # sweeps print CSV; every other command here prints JSON or refuses
+    assert started.csv is name.startswith("sweep-")
 
 
 @pytest.mark.parametrize("argv, expected", [
