@@ -15,7 +15,8 @@ Exit codes: 0 success, 2 bad input or precondition violation, 3 no
 interior clearing price exists.  A failure prints one ``error:`` line to
 stderr and nothing to stdout, naming the population or sweep file at
 fault, and the row or grid point (each counted from 1); a record holding
-a non-finite number is refused naming its field.
+a non-finite number is refused naming its field and, in a sweep, its
+grid point.
 
 Start-up loads only what a command uses: each record builder imports its
 library module when it runs, so ``fraction`` and the ``fraction`` and
@@ -42,11 +43,15 @@ EXIT_NO_SOLUTION = 3
 SWEEP_MAX_POINTS = 10_000
 
 
+def _check_finite(key, value):
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ValueError(f"{key} is not finite: {value!r}")
+
+
 def _token(key, value, as_csv):
     """One JSON token, or one CSV cell (lists joined by ';')."""
     if isinstance(value, float):
-        if not math.isfinite(value):
-            raise ValueError(f"{key} is not finite: {value!r}")
+        _check_finite(key, value)
         return format(value, ".9g" if as_csv else ".15g")
     if isinstance(value, (list, tuple)):
         tokens = [_token(key, v, as_csv) for v in value]
@@ -181,6 +186,8 @@ def _record_sweep(*, sweep_file: str):
     for i, point in enumerate(points, start=1):  # counted as population rows are
         try:
             records.append(point())
+            for key, value in records[-1].items():  # sweep records hold no lists
+                _check_finite(key, value)
         except ValueError as exc:
             raise ValueError(f"{sweep_file}: point {i} ({variable} = "
                              f"{point.keywords[variable]}): {exc}") from None

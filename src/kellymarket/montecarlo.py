@@ -10,12 +10,23 @@ The engine never builds those objects per path.  It works in two stages:
   words is computed once per run in plain Python; the stage that mixes
   in the path index, and the output hash, run in one numpy pass over a
   whole block of path indices.
-* **Flips.** Walks of at most :data:`BULK_MAX_STEPS` steps run Philox
-  itself in numpy over a chunk of paths by ``ceil(N/4)`` counter blocks,
-  with the 64-bit multiply-high split into 32-bit halves.  Longer walks
-  re-key one native numpy Philox per path through its state setter and
-  let numpy's C loop draw the flips.  The crossover is a property of N
-  alone, fixed where the two kernels took equal time per path.
+* **Flips.** Walks of at most :data:`BULK_MAX_STEPS` (40) steps run
+  Philox itself in numpy over a chunk of paths by ``ceil(N/4)`` counter
+  blocks, with the 64-bit multiply-high split into 32-bit halves and
+  every constant a numpy scalar.  Longer walks re-key one native numpy
+  Philox per path through its state setter and let numpy's C loop draw
+  the flips; walks of at most 512 steps are then compared and counted a
+  batch of paths (at most 4,096 words) at a time, longer ones path by
+  path.
+
+The crossover is a property of N alone, fixed where the two kernels took
+equal time per path.  Bulk time over native time of ``_path_up_steps``,
+medians of 21 interleaved repeats on one CPU of a 2-core x86 VM (Python
+3.11.7, numpy 2.4.6), read 0.40-0.92 at N = 10, 0.90-0.99 at N = 40,
+0.97-1.03 at N = 44, 1.02-1.17 at N = 50 and 1.28-1.46 at N = 72, over
+250, 1,000 and 20,000 paths.  On the same host, counting path by path
+took 1.65x the batched time at N = 41, 1.09x at 512 steps, 1.01x at 640
+and 0.93x at 1,024 (1,000 paths, 21 repeats).
 
 Both kernels reproduce numpy's streams bit for bit, so a result depends
 only on the config.  Only :func:`run` takes a ``workers`` argument, with
@@ -24,6 +35,7 @@ that build arrays, when a run starts, and ``numpy.random`` only by the
 native kernel; building and checking a :class:`SimConfig` needs neither.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -121,11 +133,16 @@ _PHILOX_ROUNDS = 10
 
 # Walks of at most this many steps run Philox in numpy over chunks of
 # paths; longer walks re-key one native generator per path.  Fixed where
-# the two kernels cost the same per path (measured on a 2-core x86 host).
-BULK_MAX_STEPS = 72
+# the two kernels cost the same per path (module docstring).
+BULK_MAX_STEPS = 40
 # Chunk size limit in (path x counter block) elements for the bulk kernel,
 # and in paths for the native one: keeps memory flat at any path count.
 _CHUNK_ELEMENTS = 2 ** 13
+# The native kernel compares and counts walks of at most _BATCH_MAX_STEPS
+# steps a batch of paths at a time, at most _BATCH_WORDS words a batch, and
+# longer walks path by path (module docstring).
+_BATCH_WORDS = 2 ** 12
+_BATCH_MAX_STEPS = 512
 
 
 def _hashmix(value, consts, call):
@@ -171,14 +188,16 @@ def _philox_keys(pool, start, stop):
     return words[0] | words[1] << 32, words[2] | words[3] << 32
 
 
-def _mulhilo(m, x):
+def _mulhilo(m, x, mask, shift):
     """High and low 64-bit words of ``m * x`` for a constant m and a uint64
-    array x, from 32-bit partial products that cannot overflow."""
-    m_lo, m_hi = m & _M32, m >> 32
-    x_lo, x_hi = x & _M32, x >> 32
-    t = x_hi * m_lo + ((x_lo * m_lo) >> 32)
-    u = x_lo * m_hi + (t & _M32)
-    return x_hi * m_hi + (t >> 32) + (u >> 32), x * m
+    array x, from 32-bit partial products that cannot overflow.  ``m`` is
+    ``(m & mask, m >> shift, m)``; the constants are numpy uint64 scalars,
+    so that no operation converts a Python int."""
+    m_lo, m_hi, m = m
+    x_lo, x_hi = x & mask, x >> shift
+    t = x_hi * m_lo + ((x_lo * m_lo) >> shift)
+    u = x_lo * m_hi + (t & mask)
+    return x_hi * m_hi + (t >> shift) + (u >> shift), x * m
 
 
 def _below(p):
@@ -191,16 +210,19 @@ def _bulk_up_steps(keys, n, p):
     """Up-step counts from Philox4x64-10 run in numpy: one row per key,
     counter blocks 1..ceil(n/4), four output words per block in order."""
     import numpy as np
+    u64 = np.uint64
+    mask, shift, limit = u64(_M32), u64(32), u64(_below(p))
+    m0, m1 = ((u64(m & _M32), u64(m >> 32), u64(m)) for m in _PHILOX_M)
+    w0, w1 = map(u64, _PHILOX_W)
     k0, k1 = (k[:, None] for k in keys)
     x0 = np.arange(1, -(-n // 4) + 1, dtype=np.uint64)[None, :]
     x1 = x2 = x3 = np.zeros((1, 1), dtype=np.uint64)  # broadcast until mixed
     for r in range(_PHILOX_ROUNDS):
         if r:
-            k0, k1 = k0 + _PHILOX_W[0], k1 + _PHILOX_W[1]
-        hi0, lo0 = _mulhilo(_PHILOX_M[0], x0)
-        hi1, lo1 = _mulhilo(_PHILOX_M[1], x2)
+            k0, k1 = k0 + w0, k1 + w1
+        hi0, lo0 = _mulhilo(m0, x0, mask, shift)
+        hi1, lo1 = _mulhilo(m1, x2, mask, shift)
         x0, x1, x2, x3 = hi1 ^ x1 ^ k0, lo1, hi0 ^ x3 ^ k1, lo0
-    limit = _below(p)
     counts = np.zeros(len(keys[0]), dtype=np.int64)
     for word, x in enumerate((x0, x1, x2, x3)):
         steps = max(0, -(-(n - word) // 4))  # blocks whose `word` is a step
@@ -210,19 +232,30 @@ def _bulk_up_steps(keys, n, p):
 
 def _native_up_steps(keys, n, p):
     """Up-step counts from numpy's own Philox, set to each key's fresh
-    stream (zero counter, empty buffer) through its state setter."""
+    stream (zero counter, empty buffer) through its state setter, and
+    counted a batch of paths at a time, or path by path for long walks."""
     import numpy as np
     bitgen = np.random.Philox(0)
     state = {"bit_generator": "Philox",
              "state": {"counter": [0, 0, 0, 0], "key": None},
              "buffer": [0, 0, 0, 0], "buffer_pos": 4,
              "has_uint32": 0, "uinteger": 0}
-    limit = _below(p)
+    limit = np.uint64(_below(p))
+    batched = n <= _BATCH_MAX_STEPS
+    rows = max(1, _BATCH_WORDS // n) if batched else 1
+    pairs = zip(keys[0].tolist(), keys[1].tolist())
     counts = np.empty(len(keys[0]), dtype=np.int64)
-    for i, key in enumerate(zip(keys[0].tolist(), keys[1].tolist())):
-        state["state"]["key"] = key
-        bitgen.state = state
-        counts[i] = np.count_nonzero(bitgen.random_raw(n) < limit)
+    for start in range(0, len(counts), rows):
+        words = []
+        for key in itertools.islice(pairs, rows):
+            state["state"]["key"] = key
+            bitgen.state = state
+            words.append(bitgen.random_raw(n))
+        if batched:
+            block = np.concatenate(words).reshape(-1, n)
+            counts[start:start + rows] = np.count_nonzero(block < limit, axis=1)
+        else:
+            counts[start] = np.count_nonzero(words[0] < limit)
     return counts
 
 
@@ -247,24 +280,43 @@ def _per_step_growth(config, up_steps):
     return (up_steps * math.log1p(f) + (n - up_steps) * math.log1p(-f)) / n
 
 
-def _std_error(values):
-    """Standard error of the mean of ``values``, one per path; 0 for one."""
-    if len(values) > 1:
-        return float(values.std(ddof=1) / math.sqrt(len(values)))
-    return 0.0
+# Aggregation: the reductions behind numpy's ``mean()`` and ``std(ddof=1)``
+# called without their Python-level wrappers, so the same pairwise sums in
+# the same order give the same bits.  A hit fraction is an exact count over
+# the paths, as the mean of a bool array is.
+def _mean(values):
+    """``float(values.mean())`` of a float64 array."""
+    import numpy as np
+    return float(np.add.reduce(values) / len(values))
 
 
-def _result(config, up_steps, per_step):
+def _std_error(values, mean):
+    """Standard error of ``mean``, the mean of ``values`` (one per path):
+    ``values.std(ddof=1) / sqrt(len(values))``; 0 for one value."""
+    import numpy as np
+    n = len(values)
+    if n == 1:
+        return 0.0
+    dev = values - mean
+    return math.sqrt(np.add.reduce(dev * dev) / (n - 1)) / math.sqrt(n)
+
+
+def _histogram(walk, up_steps):
+    import numpy as np
+    return tuple(np.bincount(up_steps, minlength=walk.steps + 1).tolist())
+
+
+def _result(config, up_steps, per_step, hist):
     import numpy as np
     walk, f, q = config.walk, config.fraction, config.threshold
     hit = None
     if q is not None:  # log-wealth stays 0 at f = 0; else the exact tail's k <= k(Q)
-        hit = float(q >= 0.0) if f == 0.0 else float(
-            np.mean(up_steps <= threshold_steps(f, walk, q)))
-    hist = tuple(np.bincount(up_steps, minlength=walk.steps + 1).tolist())
+        hit = float(q >= 0.0) if f == 0.0 else int(np.count_nonzero(
+            up_steps <= threshold_steps(f, walk, q))) / len(up_steps)
+    mean = _mean(per_step)
     return SimResult(
-        mean_log_growth_per_step=float(per_step.mean()),
-        std_error=_std_error(per_step),
+        mean_log_growth_per_step=mean,
+        std_error=_std_error(per_step, mean),
         threshold_hit_fraction=hit,
         paths=config.paths,
         up_step_histogram=hist,
@@ -276,7 +328,8 @@ def run(config, workers=1):
     statistics.  ``workers`` has no effect; it stays only because the
     benchmark's ``workers2_ratio`` probe (``bench/probes.py``) passes it."""
     up_steps = _path_up_steps(config.walk, config.paths, config.seed)
-    return _result(config, up_steps, _per_step_growth(config, up_steps))
+    return _result(config, up_steps, _per_step_growth(config, up_steps),
+                   _histogram(config.walk, up_steps))
 
 
 def compare_strategies(configs):
@@ -295,21 +348,23 @@ def compare_strategies(configs):
             raise ValueError("configs must share walk, paths, and seed")
 
     up_steps = _path_up_steps(first.walk, first.paths, first.seed)
+    hist = _histogram(first.walk, up_steps)
     per_steps = [_per_step_growth(c, up_steps) for c in configs]
     rows = []
     for c, per_step in zip(configs, per_steps):
         diff = per_step - per_steps[0]
+        mean_diff = _mean(diff)
         prob_below = None
         if c.threshold is not None and c.fraction > 0.0:
             prob_below = prob_growth_below(c.fraction, c.walk, c.threshold)
         rows.append(
             StrategyComparison(
                 fraction=c.fraction,
-                result=_result(c, up_steps, per_step),
+                result=_result(c, up_steps, per_step, hist),
                 growth_rate=even_odds_growth_rate(c.walk.bias, c.fraction),
                 prob_below=prob_below,
-                mean_diff_vs_first=float(diff.mean()),
-                se_diff_vs_first=_std_error(diff),
+                mean_diff_vs_first=mean_diff,
+                se_diff_vs_first=_std_error(diff, mean_diff),
             )
         )
     return rows

@@ -738,6 +738,17 @@ class TestSweepFileChecks:
         assert captured.err == \
             f"error: {path}: point 4 (p = 1.25): p must lie in [0, 1], got 1.25\n"
 
+    @pytest.mark.parametrize("fmt", [[], ["--json"]])
+    def test_non_finite_record_names_the_point(self, tmp_path, capsys, fmt):
+        # at p = 1e-320 the first-order term is beyond the float range
+        path = write_sweep(tmp_path / "sweep.json", {
+            "command": "sensitivity", "variable": "eps", "range": [0.25, 0.5, 0.25],
+            "fixed": {"mode": "bias", "N": 10, "k": 3, "p": 1e-320}})
+        code = main([*fmt, "sweep", path])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (2, "", (
+            f"error: {path}: point 1 (eps = 0.25): first_order is not finite: -inf\n"))
+
     @pytest.mark.parametrize("command, variable, bounds, fixed, point", [
         # an integer option's points are rounded, and name the rounded value
         ("bounds", "k", [0, 20, 2.5], {"N": 10, "p": 0.6}, "point 4 (k = 8)"),

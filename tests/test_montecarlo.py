@@ -125,8 +125,11 @@ class TestEngineAgainstPerPathStreams:
             assert montecarlo._seed_pool(seed) == tuple(
                 np.random.SeedSequence(seed).pool.tolist()), seed
 
+    # around the crossover, the crossover before it was re-measured, and the
+    # native kernel's switch from batched to per-path counting
     @pytest.mark.parametrize("steps", [
-        1, 53, BULK_MAX_STEPS - 1, BULK_MAX_STEPS, BULK_MAX_STEPS + 1, 5000,
+        1, 53, BULK_MAX_STEPS - 1, BULK_MAX_STEPS, BULK_MAX_STEPS + 1, 71, 72, 73,
+        montecarlo._BATCH_MAX_STEPS, montecarlo._BATCH_MAX_STEPS + 1, 5000,
     ])
     def test_counts_match_per_path_streams(self, steps):
         walk = WalkSpec(steps, 0.6)
@@ -158,15 +161,35 @@ class TestEngineAgainstPerPathStreams:
             assert np.array_equal(
                 got, per_path_up_steps(walk, 4, seed, path_offset=offset)), steps
 
-    # each case leaves a partial last chunk: chunks of 21, 3 and 64 paths
-    # under a 64-element limit, and of 585 paths under the default one
-    @pytest.mark.parametrize("steps, limit, paths", [
-        (10, 64, 97), (BULK_MAX_STEPS, 64, 97), (BULK_MAX_STEPS + 1, 64, 97),
-        (53, montecarlo._CHUNK_ELEMENTS, 1177),
+    # native walks of at most 3 x 45 words a batch: 4 and 8 paths leave a
+    # partial last batch, one path is a batch of its own, and so is each
+    # path of a walk longer than the word limit
+    @pytest.mark.parametrize("steps, words, paths", [
+        (45, 3 * 45, 1), (45, 3 * 45, 4), (45, 3 * 45, 8), (45, 44, 5),
     ])
-    def test_paths_not_a_multiple_of_the_chunk(self, steps, limit, paths,
+    def test_native_batches(self, steps, words, paths, monkeypatch):
+        monkeypatch.setattr(montecarlo, "_BATCH_WORDS", words)
+        walk = WalkSpec(steps, 0.55)
+        keys = montecarlo._philox_keys(montecarlo._seed_pool(13), 0, paths)
+        got = montecarlo._native_up_steps(keys, walk.steps, walk.bias)
+        assert np.array_equal(got, per_path_up_steps(walk, paths, 13))
+
+    # each case leaves a partial last chunk: chunks of 21, 6 and 64 paths
+    # under a 64-element limit, and of 819 paths under the default one;
+    # native batches of 2 paths under a 146-word limit, and of 77 under the
+    # default one, leave a partial last batch too
+    @pytest.mark.parametrize("steps, limit, words, paths", [
+        (10, 64, montecarlo._BATCH_WORDS, 97),
+        (BULK_MAX_STEPS, 64, montecarlo._BATCH_WORDS, 97),
+        (BULK_MAX_STEPS + 1, 64, montecarlo._BATCH_WORDS, 97),
+        (73, 64, 146, 97),
+        (BULK_MAX_STEPS, montecarlo._CHUNK_ELEMENTS, montecarlo._BATCH_WORDS, 1177),
+        (53, montecarlo._CHUNK_ELEMENTS, montecarlo._BATCH_WORDS, 1177),
+    ])
+    def test_paths_not_a_multiple_of_the_chunk(self, steps, limit, words, paths,
                                                monkeypatch):
         monkeypatch.setattr(montecarlo, "_CHUNK_ELEMENTS", limit)
+        monkeypatch.setattr(montecarlo, "_BATCH_WORDS", words)
         walk = WalkSpec(steps, 0.55)
         got = montecarlo._path_up_steps(walk, paths, 11)
         assert np.array_equal(got, per_path_up_steps(walk, paths, 11))
@@ -177,6 +200,46 @@ class TestEngineAgainstPerPathStreams:
         got = run(config, workers).up_step_histogram
         expected = np.bincount(per_path_up_steps(config.walk, 101, 77), minlength=16)
         assert got == tuple(expected.tolist())
+
+
+# pairwise summation changes its order at 8 and 128 values
+AGGREGATE_SIZES = [1, 2, 7, 8, 9, 127, 128, 129, 250, 4000, 20000]
+
+
+class TestAggregation:
+    """The direct reductions against numpy's ``mean()``, ``std(ddof=1)``
+    and the mean of a bool array, bit for bit."""
+
+    @pytest.mark.parametrize("offset", [0.0, 1e6, -3e12])
+    @pytest.mark.parametrize("size", AGGREGATE_SIZES)
+    def test_same_bits_as_numpy(self, size, offset):
+        rng = np.random.default_rng(size)
+        values = offset + rng.standard_normal(size) * rng.choice([1e-3, 1.0, 1e3], size)
+        mean = montecarlo._mean(values)
+        assert mean.hex() == float(values.mean()).hex()
+        expected = float(values.std(ddof=1) / math.sqrt(size)) if size > 1 else 0.0
+        assert montecarlo._std_error(values, mean).hex() == expected.hex()
+
+    @pytest.mark.parametrize("paths", AGGREGATE_SIZES)
+    def test_results_keep_numpy_bits(self, paths):
+        walk, seed = WalkSpec(30, 0.55), 1000 + paths
+        configs = [SimConfig(walk, f, paths, seed, -0.5) for f in (0.1, 0.35)]
+        rows = compare_strategies(configs)
+        up_steps = montecarlo._path_up_steps(walk, paths, seed)
+        first = montecarlo._per_step_growth(configs[0], up_steps)
+        for config, row in zip(configs, rows):
+            per_step = montecarlo._per_step_growth(config, up_steps)
+            diff = per_step - first
+            k = threshold_steps(config.fraction, walk, config.threshold)
+            assert row.result == run(config)
+            assert (row.result.mean_log_growth_per_step, row.result.std_error,
+                    row.result.threshold_hit_fraction,
+                    row.mean_diff_vs_first, row.se_diff_vs_first) == (
+                float(per_step.mean()),
+                float(per_step.std(ddof=1) / math.sqrt(paths)) if paths > 1 else 0.0,
+                float(np.mean(up_steps <= k)),
+                float(diff.mean()),
+                float(diff.std(ddof=1) / math.sqrt(paths)) if paths > 1 else 0.0)
 
 
 class TestReproducibility:
