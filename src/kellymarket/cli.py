@@ -16,7 +16,8 @@ interior clearing price exists.  A failure prints one ``error:`` line to
 stderr and nothing to stdout, naming the population or sweep file at
 fault, and the row or grid point (each counted from 1); a record holding
 a non-finite number is refused naming its field and, in a sweep, its
-grid point.
+grid point.  Population and sweep files may begin with a UTF-8
+byte-order mark.
 
 Start-up loads only what a command uses: each record builder imports its
 library module when it runs, so ``fraction`` and the ``fraction`` and
@@ -176,7 +177,7 @@ def _int_or_inf(token):
 
 
 def _record_sweep(*, sweep_file: str):
-    with open(sweep_file, encoding="utf-8") as fh:
+    with open(sweep_file, encoding="utf-8-sig") as fh:
         try:
             spec = json.load(fh, parse_int=_int_or_inf)
             points = _sweep_points(spec)
@@ -218,13 +219,14 @@ COMMANDS = {
 
 def load_population(path):
     """Read investors from a CSV (header ``capital,belief``) or a JSON
-    array of ``{"capital": r, "belief": r}`` objects.
+    array of ``{"capital": r, "belief": r}`` objects, with or without a
+    UTF-8 byte-order mark.
 
     Every problem with the contents is a ``ValueError`` that names the
     file and, for a bad record, its row (the first record is row 1).
     """
     from . import clearing
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         text = fh.read()
     stripped = text.lstrip()
     if stripped.startswith("["):
@@ -262,15 +264,10 @@ def _number(record, key):
     return as_float(value, key)
 
 
-def sweep_records(spec):
-    """Evaluate one record per grid point of a sweep description
-    ``{"command", "variable", "range": [start, stop, step], "fixed"}``;
-    a malformed one is a ``ValueError`` naming the bad field."""
-    return [point() for point in _sweep_points(spec)]
-
-
 def _sweep_points(spec):
-    """The records of a sweep description, one unevaluated call each."""
+    """The records of a sweep description ``{"command", "variable",
+    "range": [start, stop, step], "fixed"}``, one unevaluated call each; a
+    malformed one is a ``ValueError`` naming the bad field."""
     if not isinstance(spec, dict):
         raise ValueError(f"expected a JSON object, got {type(spec).__name__}")
     for key in ("command", "variable", "range"):

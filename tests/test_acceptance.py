@@ -279,7 +279,7 @@ def test_criterion_10_cli_determinism():
     for workers in ("1", "2", "5"):
         for _ in range(2):
             proc = subprocess.run(args + ["--workers", workers],
-                                  capture_output=True, check=True)
+                                  capture_output=True, check=True, timeout=120)
             outputs.add(proc.stdout)
     assert len(outputs) == 1
     record = json.loads(outputs.pop())

@@ -626,6 +626,17 @@ class TestSinglePass:
                          "lower end" if got[0] == (1e-9).hex() else "interior")
         assert seen == {NoInteriorClearing, ValueError, "lower end", "interior"}
 
+    @pytest.mark.parametrize("scale", [1.0, 1e300, 1e-300])
+    def test_clears_at_the_upper_bracket_end(self, scale):
+        # at 1 - 1e-9 the sure no and the sure yes cancel, and the third
+        # investor's belief is the price: exposure there is exactly zero
+        market = pop((scale, 0.0), (scale, 1.0), (2 * scale, 1.0 - 1e-9))
+        result = clearing_price(market)
+        assert (result.price, result.residual) == (1.0 - 1e-9, 0.0)
+        assert result.exposures == (-scale, scale, 0.0)
+        assert _outcome(clearing_price, market, None) == \
+            _outcome(multi_pass_clearing_price, market, None)
+
     def test_reads_an_interior_market_in_one_pass(self, monkeypatch):
         # beliefs inside the bracket: the prefix sums settle both ends
         rng = np.random.default_rng(7)

@@ -5,7 +5,9 @@ import inspect
 import io
 import json
 import math
+import pathlib
 import re
+import shlex
 import sys
 
 import numpy as np
@@ -13,8 +15,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kellymarket.cli import (COMMANDS, SWEEP_MAX_POINTS, build_parser, main,
-                             sweep_records)
+from kellymarket.cli import (COMMANDS, SWEEP_MAX_POINTS, _record_sweep,
+                             build_parser, main)
+from kellymarket.montecarlo import _MAX_STEPS
 
 GOLDEN_SIMULATE = (
     '{"N": 10, "p": 0.6, "f": 0.2, "Q": 0, "paths": 2000, "seed": 42, '
@@ -355,6 +358,16 @@ class TestSimulate:
         assert code == 2
         assert "paths" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("steps", [_MAX_STEPS + 1, 10 ** 9])
+    def test_walk_over_the_step_cap_exits_2_naming_n(self, capsys, steps):
+        # refused before a flip is drawn, so no walk of this size is held
+        code = main(["simulate", "--N", str(steps), "--p", "0.5", "--f", "0.1",
+                     "--paths", "1", "--seed", "1"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert re.fullmatch(rf"error: N = {steps} steps is over the cap [^\n]*\n",
+                            captured.err)
+
     def test_seed_is_required(self, capsys):
         with pytest.raises(SystemExit) as err:
             main(["simulate", "--N", "10", "--p", "0.6", "--f", "0.2",
@@ -559,19 +572,19 @@ class TestSweep:
         best = max(rows, key=lambda r: float(r[2]))
         assert float(best[1]) == pytest.approx(0.2)
 
-    def test_alpha_sweep_decreasing_at_high_price(self):
-        records = sweep_records({
+    def test_alpha_sweep_decreasing_at_high_price(self, tmp_path):
+        records = _record_sweep(sweep_file=write_sweep(tmp_path / "sweep.json", {
             "command": "fraction", "variable": "alpha",
             "range": [0.25, 2.0, 1.75], "fixed": {"q": 0.9, "p": 0.85},
-        })
+        }))
         assert records[0]["fraction"] > records[-1]["fraction"]
 
-    def test_rounded_span_past_stop_stops_at_stop(self):
+    def test_rounded_span_past_stop_stops_at_stop(self, tmp_path):
         # (0.9 - 0.5) / 0.15 = 2.67 rounds to 3 steps, and 0.95 is past stop
-        records = sweep_records({
+        records = _record_sweep(sweep_file=write_sweep(tmp_path / "sweep.json", {
             "command": "fraction", "variable": "q",
             "range": [0.5, 0.9, 0.15], "fixed": {"p": 0.5},
-        })
+        }))
         assert [record["q"] for record in records] == [0.5, 0.65, 0.8]
 
     def test_bad_range_exits_2(self, tmp_path, capsys):
@@ -582,6 +595,95 @@ class TestSweep:
         }))
         code, _ = invoke(capsys, "sweep", str(path))
         assert code == 2
+
+
+def printed(out, field):
+    """The token printed for ``field``, as written."""
+    return re.search(f'"{field}": ([^,}}]+)', out).group(1)
+
+
+class TestPrintedDigits:
+    """Printed tokens of the losses, the tail bounds and the threshold
+    check, compared whole, as text."""
+
+    @pytest.mark.parametrize("argv, field, token", [
+        (("sensitivity", "--mode", "fraction", "--p", "0.5", "--eps", "1e-8"),
+         "exact", format(0.5 * math.log1p(-1e-16), ".15g")),
+        (("bounds", "--N", "1000000", "--p", "0.3", "--k", "299999"),
+         "kl", "2.3809538925441e-12"),
+        # mpmath's correctly rounded tail at a million steps
+        (("bounds", "--N", "1000000", "--p", "0.5", "--k", "499750"),
+         "exact_cdf", "0.308889703025232"),
+        # a billion steps: a window of about 1.4 x 10^5 terms, mpmath's digits too
+        (("bounds", "--N", "1000000000", "--p", "0.5", "--k", "499999999"),
+         "exact_cdf", "0.499987384337393"),
+        # Q is the log-wealth after 6 of 10 up-steps: the hits and the exact
+        # tail count that outcome alike
+        (("simulate", "--N", "10", "--p", "0.6", "--f", "0.2",
+          "--Q", "0.20135513550688855", "--paths", "2000", "--seed", "42"),
+         "z_score", "-0.547164549412224"),
+    ], ids=["sensitivity-fraction-at-one-half", "bounds-kl", "bounds-exact-cdf-1e6",
+            "bounds-exact-cdf-1e9", "simulate-boundary-target"])
+    def test_token(self, capsys, argv, field, token):
+        code, out = invoke(capsys, *argv)
+        assert code == 0
+        assert printed(out, field) == token
+
+
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_block(language):
+    """The first ``language`` code block in README.md's CLI section."""
+    section = README.read_text(encoding="utf-8").split("\n## CLI\n", 1)[1]
+    return re.search(f"```{language}\n(.*?)```", section, re.S).group(1)
+
+
+def test_readme_cli_examples_run_as_written(tmp_path, monkeypatch):
+    """Each ``kellymarket`` line of the README's CLI block, run through
+    ``main`` next to the files it names, exits 0 and prints strict JSON,
+    or a CSV table for ``sweep`` (and strict JSON with ``--json``)."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "population.csv").write_text("capital,belief\n3,0.6\n1,0\n",
+                                              encoding="utf-8")
+    (tmp_path / "sweep.json").write_text(readme_block("json"), encoding="utf-8")
+    lines = [shlex.split(line, comments=True)
+             for line in readme_block("sh").splitlines()]
+    assert {argv[1] for argv in lines} == {
+        name for name, command in COMMANDS.items() if command.help}
+    for program, *argv in lines:
+        assert program == "kellymarket"
+        code, out, err = run_cli_exit(*argv)
+        assert (code, err) == (0, ""), argv
+        if argv[0] != "sweep":
+            strict_json_lines(out)
+            continue
+        rows = list(csv.reader(io.StringIO(out)))
+        assert len(rows) >= 2 and len({len(row) for row in rows}) == 1
+        assert all(math.isfinite(float(cell)) for row in rows[1:] for cell in row)
+        code, out, err = run_cli_exit("--json", *argv)
+        assert (code, err) == (0, "")
+        assert len(strict_json_lines(out)) == len(rows) - 1
+
+
+class TestByteOrderMark:
+    """Spreadsheet tools begin a UTF-8 file with a byte-order mark."""
+
+    @pytest.mark.parametrize("command, name, text", [
+        ("clear", "pop.csv", "capital,belief\n3,0.6\n1,0\n"),
+        ("clear", "pop.json", '[{"capital": 1, "belief": 0.3}, '
+                              '{"capital": 2, "belief": 0.9}]'),
+        ("sweep", "sweep.json", '{"command": "fraction", "variable": "q", '
+                                '"range": [0.55, 0.95, 0.05], "fixed": {"p": 0.5}}'),
+    ], ids=["csv-population", "json-population", "sweep"])
+    def test_prints_what_the_file_without_one_prints(self, tmp_path, command, name,
+                                                     text):
+        plain, marked = tmp_path / f"plain-{name}", tmp_path / f"marked-{name}"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text("\ufeff" + text, encoding="utf-8")
+        expected = run_cli(command, str(plain))
+        assert expected[0] == 0
+        assert run_cli(command, str(marked)) == expected
 
 
 class TestDeterminism:

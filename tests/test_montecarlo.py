@@ -59,6 +59,15 @@ class TestSimConfig:
         with pytest.raises(ValueError, match=r"\bQ\b"):
             SimConfig(WalkSpec(10, 0.5), 0.1, 10, 1, threshold)
 
+    def test_rejects_a_walk_over_the_step_cap_naming_n(self):
+        # only checked, never run: a walk at the cap peaks near 1 GiB
+        assert montecarlo._MAX_STEPS >= 10 ** 7
+        SimConfig(WalkSpec(montecarlo._MAX_STEPS, 0.5), 0.1, 1, 1)
+        over = montecarlo._MAX_STEPS + 1
+        with pytest.raises(ValueError, match=f"^N = {over} steps is over the cap of "
+                                             f"{montecarlo._MAX_STEPS} "):
+            SimConfig(WalkSpec(over, 0.5), 0.1, 1, 1)
+
 
 class TestRun:
     def test_zero_fraction_is_exactly_flat(self):

@@ -57,12 +57,14 @@ _FILES = {
 
 def run_python(code, *args, **environ):
     """stdout of ``python -c code args`` in a fresh interpreter that
-    imports this kellymarket, with ``environ`` added to its environment."""
+    imports this kellymarket, with ``environ`` added to its environment;
+    a child that runs past 120 s, far beyond any call here, fails the test."""
     src = os.path.dirname(os.path.dirname(kellymarket.__file__))
     env = dict(os.environ, **environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     return subprocess.run([sys.executable, "-c", code, *args], env=env,
-                          capture_output=True, text=True, check=True).stdout
+                          capture_output=True, text=True, check=True,
+                          timeout=120).stdout
 
 
 Started = collections.namedtuple(
