@@ -9,13 +9,16 @@ import math
 
 
 def as_float(value, name):
-    """``float(value)``, or a ``ValueError`` naming ``name``."""
+    """``float(value)``, or a ``ValueError`` naming ``name``; a bool is an
+    ``int`` to Python but not a number here."""
     try:
-        return float(value)
+        if type(value) is not bool:
+            return float(value)
     except (TypeError, ValueError):
-        raise ValueError(f"{name} is not a number: {value!r}") from None
+        pass
     except OverflowError:  # an integer past the float range
         raise ValueError(f"{name} is beyond the float range") from None
+    raise ValueError(f"{name} is not a number: {value!r}")
 
 
 def check_finite(value, name):
@@ -27,10 +30,10 @@ def check_finite(value, name):
 
 def check_integer(value, name, what, lo, hi):
     """``int(value)`` for an integer ``value`` in [lo, hi]; any other value,
-    a string, None or NaN too, is a ``ValueError`` naming ``name``."""
+    a string, a bool, None or NaN too, is a ``ValueError`` naming ``name``."""
     try:
         n = int(value)
-        if n == value and lo <= n <= hi:
+        if n == value and lo <= n <= hi and type(value) is not bool:
             return n
     except (TypeError, ValueError, ArithmeticError):
         pass

@@ -4,6 +4,8 @@ Subcommands: fraction, clear, bounds, kq, sensitivity, simulate, sweep;
 :data:`COMMANDS` holds each one's record builder and help, and a
 builder's keyword-only parameters, annotated with their types, are the
 command's options.
+An option is read only under its full name, as the usage line prints it,
+and as a sweep file must name it: no abbreviation stands for one.
 Records print as JSON (15 significant digits) or, with --csv, as a CSV
 table (9 significant digits, plot-bound); sweeps print CSV unless --json
 is given.  Identical invocations give byte-identical output; randomized
@@ -14,10 +16,13 @@ grid holds at most :data:`SWEEP_MAX_POINTS` points.
 Exit codes: 0 success, 2 bad input or precondition violation, 3 no
 interior clearing price exists.  A failure prints one ``error:`` line to
 stderr and nothing to stdout, naming the population or sweep file at
-fault, and the row or grid point (each counted from 1); a record holding
-a non-finite number is refused naming its field and, in a sweep, its
-grid point.  Population and sweep files may begin with a UTF-8
-byte-order mark.
+fault, whatever keeps it from being read (bytes that are not UTF-8, JSON
+nested past the recursion limit, a CSV line the csv module refuses), and
+the row or grid point (each counted from 1); a record holding a
+non-finite number is refused naming its field and, in a sweep, its grid
+point.  A JSON boolean in a file is not a number, though Python counts it
+as 1 or 0.  Population and sweep files may begin with a UTF-8 byte-order
+mark.
 
 Start-up loads only what a command uses: each record builder imports its
 library module when it runs, so ``fraction`` and the ``fraction`` and
@@ -81,7 +86,7 @@ def _format(records, as_csv):
 
 def _record_fraction(*, q: float, p: float, alpha: float = 1.0):
     from . import kelly
-    if alpha == 1.0:
+    if alpha == 1.0 and alpha is not True:  # True == 1.0; the alpha path refuses it
         f = kelly.optimal_fraction(q, p)
         utility = kelly.log_utility(q, p, f)
     else:
@@ -181,7 +186,8 @@ def _record_sweep(*, sweep_file: str):
         try:
             spec = json.load(fh, parse_int=_int_or_inf)
             points = _sweep_points(spec)
-        except ValueError as exc:  # invalid JSON included
+        # invalid JSON included, and nesting past the recursion limit
+        except (ValueError, RecursionError) as exc:
             raise ValueError(f"{sweep_file}: {exc}") from None
     variable, records = spec["variable"], []
     for i, point in enumerate(points, start=1):  # counted as population rows are
@@ -227,29 +233,36 @@ def load_population(path):
     """
     from . import clearing
     with open(path, encoding="utf-8-sig") as fh:
-        text = fh.read()
-    stripped = text.lstrip()
-    if stripped.startswith("["):
+        try:
+            text = fh.read()
+        except ValueError as exc:  # not UTF-8
+            raise ValueError(f"{path}: {exc}") from None
+    unreadable_row = ValueError
+    if text.lstrip().startswith("["):
         try:
             rows = json.loads(text)
-        except ValueError as exc:  # an integer past the digit limit, too
+        # an integer past the digit limit, or nesting past the recursion limit
+        except (ValueError, RecursionError) as exc:
             raise ValueError(f"{path}: invalid JSON: {exc}") from None
     else:
         import csv
         rows = csv.DictReader(io.StringIO(text))
-        if rows.fieldnames is None or \
-                {"capital", "belief"} - set(rows.fieldnames):
-            raise ValueError(
-                f"{path}: expected CSV header 'capital,belief', "
-                f"got {rows.fieldnames}"
-            )
-    investors = []
-    for row, record in enumerate(rows, start=1):
+        # csv refuses a field past its size limit, and before 3.11 a NUL
+        unreadable_row = csv.Error
         try:
+            header = rows.fieldnames
+        except csv.Error as exc:
+            raise ValueError(f"{path}: header: {exc}") from None
+        if header is None or {"capital", "belief"} - set(header):
+            raise ValueError(
+                f"{path}: expected CSV header 'capital,belief', got {header}")
+    investors = []
+    try:
+        for record in rows:
             investors.append(clearing.Investor(_number(record, "capital"),
                                                _number(record, "belief")))
-        except ValueError as exc:
-            raise ValueError(f"{path}: row {row}: {exc}") from None
+    except (ValueError, unreadable_row) as exc:  # rows counted from 1
+        raise ValueError(f"{path}: row {len(investors) + 1}: {exc}") from None
     try:
         return clearing.MarketPopulation(investors)
     except ValueError as exc:
@@ -325,7 +338,7 @@ class _Parser(argparse.ArgumentParser):
 
 def build_parser():
     parser = _Parser(
-        prog="kellymarket",
+        prog="kellymarket", allow_abbrev=False,
         description="Kelly fractions, market clearing, and growth bounds "
                     "for all-or-nothing betting contracts.",
     )
@@ -338,7 +351,7 @@ def build_parser():
     for name, (build, help_text, _) in COMMANDS.items():
         if help_text is None:
             continue
-        command = sub.add_parser(name, help=help_text)
+        command = sub.add_parser(name, help=help_text, allow_abbrev=False)
         optional = build.__kwdefaults__ or {}
         for option, kind in build.__annotations__.items():
             if kind is str:

@@ -180,11 +180,34 @@ class TestClear:
         pytest.param("pop.json", '[{"capital": 1' + "0" * 5000 + ', "belief": 0.5}]',
                      ": invalid JSON: Exceeds the limit",
                      id="json-integer-past-the-digit-limit"),
+        pytest.param("pop.csv", b"capital,belief\n1,0.5\n\xff,0.3\n",
+                     ": 'utf-8' codec can't decode byte 0xff in position 21",
+                     id="not-utf-8"),
+        pytest.param("pop.csv", "capital,belief\n1,0.5\n"
+                     + "1" * (csv.field_size_limit() + 1) + ",0.3\n",
+                     ": row 2: field larger than field limit",
+                     id="csv-field-past-the-size-limit"),
+        pytest.param("pop.csv", "capital,belief" + "x" * csv.field_size_limit()
+                     + "\n1,0.5\n", ": header: field larger than field limit",
+                     id="csv-header-past-the-size-limit"),
+        # the csv module refuses a NUL before Python 3.11, and reads it after
+        pytest.param("pop.csv", "capital,belief\n1,0.5\n2\0,0.3\n",
+                     ": row 2: line contains NUL\n" if sys.version_info < (3, 11)
+                     else ": row 2: capital is not a number: '2\\x00'\n",
+                     id="csv-nul"),
+        pytest.param("pop.json", "[" * 100_000,
+                     ": invalid JSON: maximum recursion depth exceeded",
+                     id="json-nested-past-the-recursion-limit"),
+        pytest.param("pop.json", '[{"capital": true, "belief": 0.5}]',
+                     ": row 1: capital is not a number: True\n", id="json-boolean"),
     ])
     def test_bad_contents_exit_2_naming_the_file(self, tmp_path, capsys, name,
                                                  text, detail):
         path = tmp_path / name
-        path.write_text(text)
+        if isinstance(text, bytes):
+            path.write_bytes(text)
+        else:
+            path.write_text(text)
         code = main(["clear", str(path)])
         err = capsys.readouterr().err
         assert code == 2
@@ -394,6 +417,23 @@ def run_cli_exit(*argv):
     return code, out.getvalue(), err.getvalue()
 
 
+def prefix_spellings():
+    """``(command, option, prefix)`` for each proper prefix of a long option,
+    of the top-level parser or a subcommand's, that starts no other option:
+    the abbreviations argparse reads unless ``allow_abbrev`` is off."""
+    parser = build_parser()
+    subparsers, = (action for action in parser._actions
+                   if isinstance(action, argparse._SubParsersAction))
+    for command, each in [((), parser), *(((name,), sub) for name, sub
+                                          in subparsers.choices.items())]:
+        options = [option for action in each._actions
+                   for option in action.option_strings if option.startswith("--")]
+        for option in options:
+            for end in range(3, len(option)):
+                if sum(o.startswith(option[:end]) for o in options) == 1:
+                    yield command, option, option[:end]
+
+
 class TestCommandLineRefusals:
     """What argparse refuses prints one ``error:`` line, like every other
     failure, and no usage line."""
@@ -422,6 +462,46 @@ class TestCommandLineRefusals:
             assert required == {
                 option: params[option].default is inspect.Parameter.empty
                 for option in params}, name
+
+    # a command line that runs, for each parser, naming each of its options
+    # but --help, --json and --csv, which go right after the command
+    FULL = {
+        (): ("fraction", "--q", "0.7", "--p", "0.6"),
+        ("fraction",): ("--q", "0.9", "--p", "0.8", "--alpha", "0.5"),
+        ("clear",): ("--tol", "1e-6", "population.csv"),
+        ("bounds",): ("--N", "10", "--p", "0.6", "--k", "4"),
+        ("kq",): ("--f", "0.5", "--N", "10", "--Q", "0"),
+        ("sensitivity",): ("--mode", "bias", "--N", "10", "--k", "4", "--p", "0.6",
+                           "--eps", "0.01"),
+        ("simulate",): ("--N", "10", "--p", "0.6", "--f", "0.2", "--Q", "0",
+                        "--paths", "100", "--seed", "1", "--workers", "1"),
+        ("sweep",): ("sweep.json",),
+    }
+    PREFIXES = list(prefix_spellings())
+
+    def test_prefix_spellings_span_every_parser(self):
+        # --help, --json and --csv at the top, --help in each subcommand, and
+        # --alpha, --tol, --mode, --eps, --paths, --seed, --workers
+        assert len(self.PREFIXES) == 52
+        assert {command for command, _, _ in self.PREFIXES} == set(self.FULL)
+
+    @pytest.mark.parametrize(
+        "command, option, prefix", PREFIXES,
+        ids=[" ".join(["kellymarket", *c, p]) for c, _, p in PREFIXES])
+    def test_an_option_is_read_by_its_full_name_only(self, tmp_path, monkeypatch,
+                                                     command, option, prefix):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "population.csv").write_text("capital,belief\n3,0.6\n1,0\n")
+        write_sweep(tmp_path / "sweep.json", readme_block("json"))
+        full = [*command, *self.FULL[command]]
+        assert run_cli_exit(*full)[0] == 0
+        argv = [prefix if token == option else token for token in full] \
+            if option in full else [*command, prefix, *self.FULL[command]]
+        code, out, err = run_cli_exit(*argv)
+        assert (code, out) == (2, "")
+        assert re.fullmatch(r"error: [^\n]+\n", err)
+        # an unrecognized prefix, or the required option it left out
+        assert {prefix, option} & set(err.replace(",", " ").split())
 
     USAGE = {
         (): "[-h] [--json | --csv] "
@@ -695,8 +775,11 @@ class TestDeterminism:
 
 
 def write_sweep(path, spec):
-    path.write_text(spec if isinstance(spec, str) else json.dumps(spec),
-                    encoding="utf-8")
+    if isinstance(spec, bytes):
+        path.write_bytes(spec)
+    else:
+        path.write_text(spec if isinstance(spec, str) else json.dumps(spec),
+                        encoding="utf-8")
     return str(path)
 
 
@@ -732,6 +815,10 @@ class TestSweepFileChecks:
         ('{"command": "fraction", "variable": "q", "range": [0.5, 0.6, 0.1]}',
          r"fixed must set 'p', a required parameter of fraction"),
         ('{"command": ', r"Expecting value"),
+        pytest.param("[" * 100_000, r"maximum recursion depth exceeded",
+                     id="nested-past-the-recursion-limit"),
+        pytest.param(b'{"command": "\xff"}', r"'utf-8' codec can't decode byte 0xff",
+                     id="not-utf-8"),
     ])
     def test_exit_2_naming_the_file_and_field(self, tmp_path, capsys, text,
                                               detail):
@@ -792,10 +879,21 @@ class TestSweepFileChecks:
          "steps must be a positive integer, got inf"),
         ("bounds", "p", '{"N": 10, "k": -1' + "0" * 5000 + "}",
          "k must be an integer, got -inf"),
+        # a JSON boolean is an int to Python, but not a number here
+        ("bounds", "p", '{"N": true, "k": 0}',
+         "steps must be a positive integer, got True"),
+        ("bounds", "p", '{"N": 10, "k": true}', "k must be an integer, got True"),
+        ("kq", "f", '{"N": 10, "Q": true}',
+         "Q (log-wealth target) is not a number: True"),
+        ("fraction", "q", '{"p": 0.5, "alpha": true}', "alpha is not a number: True"),
+        ("fraction", "q", '{"p": 0.5, "alpha": false}',
+         "alpha is not a number: False"),
+        ("fraction", "q", '{"p": false}', "p is not a number: False"),
     ], ids=["N-string", "k-string", "N-null", "p-null", "p-string",
             "alpha-string", "eps-list", "f-string", "p-beyond-float",
             "Q-beyond-float", "N-beyond-float", "p-past-digit-limit",
-            "N-past-digit-limit", "k-past-digit-limit"])
+            "N-past-digit-limit", "k-past-digit-limit", "N-true", "k-true",
+            "Q-true", "alpha-true", "alpha-false", "p-false"])
     def test_any_value_exits_2_naming_it(self, tmp_path, capsys, command,
                                          variable, fixed, message):
         path = write_sweep(tmp_path / "sweep.json", (
@@ -924,6 +1022,12 @@ ANY_FLOAT = st.floats(allow_nan=True, allow_infinity=True)
 UNIT = st.one_of(st.floats(0.0, 1.0), st.sampled_from(
     [0.0, 1.0, 5e-324, 1e-320, 1.0 - 2.0 ** -53]), ANY_FLOAT)
 FORMAT = st.sampled_from([(), ("--json",), ("--csv",)])
+# every kind of value a population or sweep file can hold where a number
+# belongs: numbers, numeric strings, booleans, null and lists
+FILE_VALUE = st.one_of(
+    st.integers(-5, 100), ANY_FLOAT,
+    st.one_of(st.integers(-5, 100), ANY_FLOAT).map(str),
+    st.booleans(), st.none(), st.lists(st.floats(0.0, 1.0), max_size=2))
 
 
 def check_outcome(argv, fmt):
@@ -983,9 +1087,18 @@ class TestEveryCommandPrintsValidOutput:
         beliefs = data.draw(st.lists(
             st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 1.0])),
             min_size=len(capitals), max_size=len(capitals)))
-        path = tmp_path_factory.mktemp("clear") / "pop.csv"
-        path.write_text("capital,belief\n" + "".join(
-            f"{c!r},{q!r}\n" for c, q in zip(capitals, beliefs)))
+        rows = [[c, q] for c, q in zip(capitals, beliefs)]
+        if data.draw(st.booleans()):
+            data.draw(st.sampled_from(rows))[data.draw(st.integers(0, 1))] = \
+                data.draw(FILE_VALUE)
+        as_json = data.draw(st.booleans())
+        path = tmp_path_factory.mktemp("clear") / f"pop.{'json' if as_json else 'csv'}"
+        if as_json:
+            path.write_text(json.dumps(
+                [{"capital": c, "belief": q} for c, q in rows]))
+        else:  # each cell as str() writes it
+            with path.open("w", newline="") as fh:
+                csv.writer(fh).writerows([["capital", "belief"], *rows])
         check_outcome(["clear", str(path)], fmt)
 
     SWEEP_FIXED = {
@@ -1012,6 +1125,8 @@ class TestEveryCommandPrintsValidOutput:
         variable = data.draw(st.sampled_from([*fixed, "x"]))
         if data.draw(st.booleans()):
             fixed.pop(data.draw(st.sampled_from(sorted(fixed))))
+        if fixed and data.draw(st.booleans()):
+            fixed[data.draw(st.sampled_from(sorted(fixed)))] = data.draw(FILE_VALUE)
         bounds = odd_range or [start, start + points * step, step]
         spec = {"command": command, "variable": variable, "range": bounds,
                 "fixed": fixed}

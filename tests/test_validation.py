@@ -18,13 +18,16 @@ from kellymarket.kelly import (
 from kellymarket.montecarlo import SimConfig
 
 
-# float() raises TypeError, ValueError or OverflowError naming no parameter
+# float() raises TypeError, ValueError or OverflowError naming no parameter,
+# and reads a bool as 0 or 1
 @pytest.mark.parametrize("value, detail", [
     ("x", "is not a number: 'x'"),
     (None, "is not a number: None"),
     ([1], "is not a number: [1]"),
     (10 ** 400, "is beyond the float range"),
-], ids=["string", "None", "list", "beyond-float"])
+    (True, "is not a number: True"),
+    (False, "is not a number: False"),
+], ids=["string", "None", "list", "beyond-float", "True", "False"])
 @pytest.mark.parametrize("call, name", [
     (odds_to_probability, "odds"),
     (lambda v: optimal_fraction_alpha(0.9, 0.5, v), "alpha"),
@@ -51,4 +54,20 @@ def test_real_parameter_refused_by_name(call, name, value, detail):
 def test_negative_or_non_finite_refused_by_name(call, name, value):
     message = f"{name} must be a non-negative finite number, got {value!r}"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(value)
+
+
+# int() reads True as 1 and False as 0
+@pytest.mark.parametrize("value", [True, False])
+@pytest.mark.parametrize("call, message", [
+    (lambda v: WalkSpec(v, 0.5), "steps must be a positive integer"),
+    (lambda v: sensitivity_bias(v, WalkSpec(10, 0.6), 0.01),
+     "k must be an integer in [0, 10]"),
+    (lambda v: SimConfig(WalkSpec(10, 0.5), 0.2, v, 1),
+     "paths must be a positive integer"),
+    (lambda v: SimConfig(WalkSpec(10, 0.5), 0.2, 10, v),
+     "seed must be an unsigned 64-bit integer"),
+], ids=["steps", "k", "paths", "seed"])
+def test_bool_refused_as_an_integer(call, message, value):
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{message}, got {value}')}$"):
         call(value)
