@@ -2,17 +2,26 @@
 
 Numbers are parsed and checked only here.  Every check raises
 ``ValueError`` with the offending name and value, for any input, so CLI
-error messages stay informative.
+error messages stay informative; text is a number only if :func:`plain`.
 """
 
 import math
 
 
+def plain(value):
+    """Whether ``float()`` or ``int()`` may read ``value`` here: no bool, and
+    text only in ASCII with no ``_`` and no surrounding whitespace, so
+    ``1_0``, ``١٠`` and `` 10`` are no numbers, though Python reads 10."""
+    if isinstance(value, str):
+        return value.isascii() and "_" not in value and value.strip() == value
+    return type(value) is not bool
+
+
 def as_float(value, name):
-    """``float(value)``, or a ``ValueError`` naming ``name``; a bool is an
-    ``int`` to Python but not a number here."""
+    """``float(value)`` of a :func:`plain` value, or a ``ValueError``
+    naming ``name``."""
     try:
-        if type(value) is not bool:
+        if type(value) is float or plain(value):  # a float needs no call
             return float(value)
     except (TypeError, ValueError):
         pass

@@ -5,7 +5,8 @@ Subcommands: fraction, clear, bounds, kq, sensitivity, simulate, sweep;
 builder's keyword-only parameters, annotated with their types, are the
 command's options.
 An option is read only under its full name, as the usage line prints it,
-and as a sweep file must name it: no abbreviation stands for one.
+and as a sweep file must name it: no abbreviation stands for one.  A
+number, on the command line or in a file, is ASCII with no ``_`` or padding.
 Records print as JSON (15 significant digits) or, with --csv, as a CSV
 table (9 significant digits, plot-bound); sweeps print CSV unless --json
 is given.  Identical invocations give byte-identical output; randomized
@@ -20,9 +21,9 @@ fault, whatever keeps it from being read (bytes that are not UTF-8, JSON
 nested past the recursion limit, a CSV line the csv module refuses), and
 the row or grid point (each counted from 1); a record holding a
 non-finite number is refused naming its field and, in a sweep, its grid
-point.  A JSON boolean in a file is not a number, though Python counts it
-as 1 or 0.  Population and sweep files may begin with a UTF-8 byte-order
-mark.
+point.  A JSON boolean in a file, a range entry too, is not a number,
+though Python counts it as 1 or 0.  Population and sweep files may begin
+with a UTF-8 byte-order mark.
 
 Start-up loads only what a command uses: each record builder imports its
 library module when it runs, so ``fraction`` and the ``fraction`` and
@@ -41,7 +42,7 @@ import math
 import re
 import sys
 
-from ._validation import as_float
+from ._validation import as_float, plain
 
 EXIT_BAD_INPUT = 2
 EXIT_NO_SOLUTION = 3
@@ -305,7 +306,7 @@ def _sweep_points(spec):
     if unset:
         raise ValueError(f"fixed must set {unset[0]!r}, a required parameter of {name}")
     try:
-        start, stop, step = (float(x) for x in bounds)
+        start, stop, step = map(_reader(float), bounds)
     except (TypeError, ValueError):
         raise ValueError(
             f"range must be [start, stop, step], got {bounds!r}") from None
@@ -358,11 +359,21 @@ def build_parser():
                 command.add_argument(option)
                 continue
             spec = {"choices": kind} if isinstance(kind, tuple) else \
-                {"type": kind}
+                {"type": _reader(kind)}
             # an option left out is None, and the builder's default applies
             command.add_argument(f"--{option}", **spec,
                                  required=option not in optional)
     return parser
+
+
+def _reader(kind):
+    """``kind`` (``int`` or ``float``) of a :func:`plain` value."""
+    def read(value):
+        if plain(value):
+            return kind(value)
+        raise ValueError(f"not a number: {value!r}")
+    read.__name__ = kind.__name__  # argparse: "invalid int value: '1_0'"
+    return read
 
 
 _VALUE_OPTION = re.compile(r"--\w+")
@@ -370,7 +381,7 @@ _VALUE_OPTION = re.compile(r"--\w+")
 
 def _is_number(s):
     try:
-        float(s)
+        _reader(float)(s)
         return True
     except ValueError:
         return False

@@ -568,6 +568,142 @@ class TestNegativeValues:
         assert code == 0
         assert strict_json_lines(out)[0]["Q"] == -1e-3
 
+    @pytest.mark.parametrize("spaced", [True, False], ids=["spaced", "joined"])
+    def test_digit_separator_is_refused(self, spaced):
+        # argparse reads "-1_0" after a space as an option, not as a value
+        code, out, err = run_cli_exit("kq", "--f", "0.5", "--N", "10",
+                                      *q_option("-1_0", spaced))
+        assert (code, out) == (2, "")
+        assert re.fullmatch(r"error: argument --Q: [^\n]+\n", err)
+
+
+ARABIC_INDIC = str.maketrans("0123456789", "\u0660\u0661\u0662\u0663\u0664"
+                                           "\u0665\u0666\u0667\u0668\u0669")
+FULLWIDTH = str.maketrans("0123456789", "\uff10\uff11\uff12\uff13\uff14"
+                                        "\uff15\uff16\uff17\uff18\uff19")
+
+
+def other_spellings(text):
+    """Spellings of the number ``text`` (which ends in two digits) that
+    ``int()`` or ``float()`` read as ``text``, but that are no number here:
+    a digit separator, Arabic-Indic and fullwidth digits, and a space, tab
+    or newline before or after."""
+    return [text[:-1] + "_" + text[-1], text.translate(ARABIC_INDIC),
+            text.translate(FULLWIDTH),
+            *(pad + text for pad in " \t\n"), *(text + pad for pad in " \t\n")]
+
+
+# a command line that runs, each numeric value ending in two digits
+SPELLING_RUNS = {
+    "fraction": ("--q", "0.75", "--p", "0.65", "--alpha", "0.55"),
+    "clear": ("--tol", "0.01", "population.csv"),
+    "bounds": ("--N", "20", "--p", "0.65", "--k", "10"),
+    "kq": ("--f", "0.55", "--N", "10", "--Q", "0.25"),
+    "sensitivity": ("--mode", "bias", "--N", "20", "--k", "10",
+                    "--p", "0.65", "--eps", "0.01"),
+    "simulate": ("--N", "10", "--p", "0.65", "--f", "0.25", "--Q", "0.15",
+                 "--paths", "10", "--seed", "11", "--workers", "11"),
+}
+# a sweep over each target's first option, fixing the rest
+SPELLING_SWEEPS = {
+    "fraction": {"q": 0.75, "p": 0.65, "alpha": 0.55},
+    "bounds": {"p": 0.65, "N": 20, "k": 10},
+    "kq": {"f": 0.55, "N": 10, "Q": 0.25},
+    "growth": {"p": 0.65, "f": 0.25},
+    "sensitivity": {"p": 0.65, "eps": 0.01, "mode": "bias", "N": 20, "k": 10},
+}
+
+
+class TestOneSpellingPerNumber:
+    """A number that a command line or a file gives as text is ASCII, with
+    no ``_`` and no surrounding whitespace; every other spelling that
+    Python reads exits 2 with the message a value that is no number gets."""
+
+    OPTIONS = [(name, option, kind) for name, command in COMMANDS.items()
+               if command.help
+               for option, kind in command.build.__annotations__.items()
+               if kind in (int, float)]
+    SPELLINGS = [(name, option, kind, spelling)
+                 for name, option, kind in OPTIONS
+                 for spelling in other_spellings(SPELLING_RUNS[name][
+                     SPELLING_RUNS[name].index(f"--{option}") + 1])]
+
+    @pytest.fixture
+    def population(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "population.csv").write_text("capital,belief\n3,0.6\n1,0\n")
+
+    def test_every_numeric_option_is_tried(self, population):
+        assert len(self.OPTIONS) == 21
+        for name, argv in SPELLING_RUNS.items():
+            code, _, err = run_cli_exit(name, *argv)
+            assert (code, err) == (0, ""), name
+
+    @pytest.mark.parametrize(
+        "name, option, kind, spelling", SPELLINGS,
+        ids=[f"{n}--{o}={s!r}" for n, o, _, s in SPELLINGS])
+    def test_option_value(self, population, name, option, kind, spelling):
+        argv = list(SPELLING_RUNS[name])
+        argv[argv.index(f"--{option}") + 1] = spelling
+        assert run_cli_exit(name, *argv) == (2, "", (
+            f"error: argument --{option}: invalid {kind.__name__} value: "
+            f"{spelling!r}\n"))
+
+    FIXED = [(name, option, spelling)
+             for name, values in SPELLING_SWEEPS.items()
+             for option, kind in COMMANDS[name].build.__annotations__.items()
+             if kind is float and option != next(iter(values))
+             for spelling in other_spellings(repr(values[option]))]
+
+    def sweep(self, tmp_path, name, bounds=None, **fixed):
+        variable, *rest = values = SPELLING_SWEEPS[name]
+        return write_sweep(tmp_path / "sweep.json", {
+            "command": name, "variable": variable,
+            "range": bounds or [values[variable]] * 2 + [0.01],
+            "fixed": {**{key: values[key] for key in rest}, **fixed}})
+
+    def test_every_sweep_runs(self, tmp_path):
+        for name in SPELLING_SWEEPS:
+            assert run_cli_exit("sweep", self.sweep(tmp_path, name))[0] == 0, name
+
+    @pytest.mark.parametrize("name, option, spelling", FIXED,
+                             ids=[f"{n}-{o}={s!r}" for n, o, s in FIXED])
+    def test_sweep_fixed_string(self, tmp_path, name, option, spelling):
+        path = self.sweep(tmp_path, name, **{option: spelling})
+        variable = next(iter(SPELLING_SWEEPS[name]))
+        code, out, err = run_cli_exit("sweep", path)
+        assert (code, out) == (2, "")
+        assert re.fullmatch(
+            f"error: {re.escape(path)}: point 1 \\({variable} = [^)]+\\): "
+            f"[^\n]+ is not a number: {re.escape(repr(spelling))}\n", err)
+
+    @pytest.mark.parametrize("position", range(3))
+    @pytest.mark.parametrize("spelling", other_spellings("0.75"))
+    def test_sweep_range_entry(self, tmp_path, position, spelling):
+        bounds = ["0.75", "0.85", "0.05"]
+        bounds[position] = spelling
+        path = self.sweep(tmp_path, "fraction", bounds)
+        assert run_cli_exit("sweep", path) == (2, "", (
+            f"error: {path}: range must be [start, stop, step], got {bounds!r}\n"))
+
+    @pytest.mark.parametrize("field", ["capital", "belief"])
+    @pytest.mark.parametrize("as_json", [False, True], ids=["csv", "json"])
+    @pytest.mark.parametrize("spelling", other_spellings("0.25"))
+    def test_population_cell(self, tmp_path, field, as_json, spelling):
+        rows = [{"capital": "0.75", "belief": "0.35"},
+                {"capital": "0.25", "belief": "0.65"}]
+        rows[0][field] = spelling
+        path = tmp_path / f"pop.{'json' if as_json else 'csv'}"
+        if as_json:
+            path.write_text(json.dumps(rows))
+        else:
+            with path.open("w", newline="") as fh:
+                writer = csv.DictWriter(fh, ["capital", "belief"])
+                writer.writeheader()
+                writer.writerows(rows)
+        assert run_cli_exit("clear", str(path)) == (2, "", (
+            f"error: {path}: row 1: {field} is not a number: {spelling!r}\n"))
+
 
 class TestNonFiniteQ:
     Q_COMMANDS = pytest.mark.parametrize("argv", [
@@ -904,6 +1040,31 @@ class TestSweepFileChecks:
         assert (code, captured.out, captured.err) == (
             2, "", f"error: {path}: point 1 ({variable} = 0.5): {message}\n")
 
+    # a JSON boolean is an int to Python, but no range entry; a string is
+    # one if it is plainly spelled
+    @pytest.mark.parametrize("bounds", [
+        [True, True, 1], [0.5, True, 0.1], [0.5, 0.6, True], [False, 0.6, 0.1],
+        ["0.5", "0.6", "0_1"], ["0.5", " 0.6", "0.1"],
+    ], ids=["start-stop-true", "stop-true", "step-true", "start-false",
+            "step-digit-separator", "stop-padded"])
+    def test_range_entry_that_is_no_number_exits_2(self, tmp_path, capsys, bounds):
+        path = write_sweep(tmp_path / "sweep.json", {
+            "command": "fraction", "variable": "q", "range": bounds,
+            "fixed": {"p": 0.5}})
+        code = main(["sweep", path])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (2, "", (
+            f"error: {path}: range must be [start, stop, step], got {bounds!r}\n"))
+
+    def test_range_of_plain_strings_reads_as_numbers(self, tmp_path, capsys):
+        spec = {"command": "fraction", "variable": "q", "range": [0.5, 0.6, 0.1],
+                "fixed": {"p": 0.5}}
+        expected = invoke(capsys, "sweep", write_sweep(tmp_path / "a.json", spec))
+        spec["range"] = ["0.5", "0.6", "1e-1"]
+        assert invoke(capsys, "sweep", write_sweep(tmp_path / "b.json", spec)) == \
+            expected
+        assert expected[0] == 0
+
     @pytest.mark.parametrize("position", range(3))
     def test_range_integer_beyond_the_float_range_exits_2(self, tmp_path, capsys,
                                                         position):
@@ -1022,19 +1183,40 @@ ANY_FLOAT = st.floats(allow_nan=True, allow_infinity=True)
 UNIT = st.one_of(st.floats(0.0, 1.0), st.sampled_from(
     [0.0, 1.0, 5e-324, 1e-320, 1.0 - 2.0 ** -53]), ANY_FLOAT)
 FORMAT = st.sampled_from([(), ("--json",), ("--csv",)])
+NUMERIC_TEXT = st.one_of(st.integers(-5, 100), ANY_FLOAT).map(str)
+# numeric text, of values most options admit, that Python reads but that
+# is no number here: a digit separator, non-ASCII digits, or surrounding
+# whitespace
+OTHER_SPELLING = st.tuples(
+    st.one_of(UNIT, st.integers(0, 100)).map(str), st.sampled_from([
+        lambda t: re.sub(r"(\d)(\d|$)", r"\1_0\2", t, count=1),
+        lambda t: t.translate(ARABIC_INDIC), lambda t: t.translate(FULLWIDTH),
+        lambda t: " " + t, lambda t: t + "\t", lambda t: t + "\n",
+    ])).map(lambda pair: pair[1](pair[0]))
 # every kind of value a population or sweep file can hold where a number
 # belongs: numbers, numeric strings, booleans, null and lists
 FILE_VALUE = st.one_of(
-    st.integers(-5, 100), ANY_FLOAT,
-    st.one_of(st.integers(-5, 100), ANY_FLOAT).map(str),
+    st.integers(-5, 100), ANY_FLOAT, NUMERIC_TEXT, OTHER_SPELLING,
     st.booleans(), st.none(), st.lists(st.floats(0.0, 1.0), max_size=2))
 
 
-def check_outcome(argv, fmt):
+def plainly_spelled(text):
+    """Whether ``text``, if Python reads it as a number, is ASCII with no
+    ``_`` and no surrounding whitespace."""
+    try:
+        float(text)
+    except ValueError:
+        return True
+    return text.isascii() and "_" not in text and text == text.strip()
+
+
+def check_outcome(argv, fmt, refused=False):
     """Run the CLI; it must exit 0 with strict JSON lines (or, for --csv and
-    sweeps without --json, a rectangular CSV of finite numbers), or exit 2
-    or 3 with an ``error:`` line and nothing on stdout."""
+    sweeps without --json, a rectangular CSV of finite numbers), each number
+    plainly spelled, or exit 2 or 3 with an ``error:`` line and nothing on
+    stdout; exit 2 if ``refused``."""
     code, out, err = run_cli(*fmt, *argv)
+    assert code == 2 or not refused
     if code != 0:
         assert code in (2, 3) and out == ""
         assert re.fullmatch(r"error: .+\n", err)
@@ -1045,10 +1227,14 @@ def check_outcome(argv, fmt):
         assert len(rows) >= 2 and len({len(row) for row in rows}) == 1
         for cell in (cell for row in rows[1:] for cell in row):
             for part in cell.split(";"):
+                assert plainly_spelled(part)
                 with contextlib.suppress(ValueError):
                     assert math.isfinite(float(part))
     else:
-        assert all(isinstance(r, dict) for r in strict_json_lines(out))
+        records = strict_json_lines(out)
+        assert all(isinstance(r, dict) for r in records)
+        assert all(plainly_spelled(v) for r in records for v in r.values()
+                   if isinstance(v, str))
 
 
 def opt(name, value):
@@ -1088,9 +1274,10 @@ class TestEveryCommandPrintsValidOutput:
             st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 1.0])),
             min_size=len(capitals), max_size=len(capitals)))
         rows = [[c, q] for c, q in zip(capitals, beliefs)]
+        cell = None
         if data.draw(st.booleans()):
-            data.draw(st.sampled_from(rows))[data.draw(st.integers(0, 1))] = \
-                data.draw(FILE_VALUE)
+            cell = data.draw(FILE_VALUE)
+            data.draw(st.sampled_from(rows))[data.draw(st.integers(0, 1))] = cell
         as_json = data.draw(st.booleans())
         path = tmp_path_factory.mktemp("clear") / f"pop.{'json' if as_json else 'csv'}"
         if as_json:
@@ -1099,7 +1286,8 @@ class TestEveryCommandPrintsValidOutput:
         else:  # each cell as str() writes it
             with path.open("w", newline="") as fh:
                 csv.writer(fh).writerows([["capital", "belief"], *rows])
-        check_outcome(["clear", str(path)], fmt)
+        check_outcome(["clear", str(path)], fmt,
+                      refused=isinstance(cell, str) and not plainly_spelled(cell))
 
     SWEEP_FIXED = {
         "fraction": {"q": 0.7, "p": 0.5, "alpha": 1.0},
@@ -1110,11 +1298,14 @@ class TestEveryCommandPrintsValidOutput:
     }
 
     @given(command=st.sampled_from(sorted(SWEEP_FIXED)), data=st.data(),
-           start=st.floats(-2.0, 60.0), step=st.floats(1e-3, 10.0),
+           # grids inside [0, 1] as well, where probabilities and fractions
+           # run, and a well-formed range half the time
+           start=st.one_of(st.floats(0.0, 1.0), st.floats(-2.0, 60.0)),
+           step=st.one_of(st.floats(1e-3, 0.02), st.floats(1e-3, 10.0)),
            points=st.integers(0, 40),
-           odd_range=st.sampled_from([None, [0, math.inf, 0.1], [0, math.nan, 1],
-                                      [0, 1e300, 1e-300], [0, 1e9, 1], [1, 0, 1],
-                                      [0, 1, 0], [0, 1, -1], [0, 1]]),
+           odd_range=st.one_of(st.none(), st.sampled_from([
+               [0, math.inf, 0.1], [0, math.nan, 1], [0, 1e300, 1e-300],
+               [0, 1e9, 1], [1, 0, 1], [0, 1, 0], [0, 1, -1], [0, 1]])),
            fmt=FORMAT)
     @settings(max_examples=200, deadline=None)
     def test_sweep(self, tmp_path_factory, command, data, start, step, points,
@@ -1125,14 +1316,21 @@ class TestEveryCommandPrintsValidOutput:
         variable = data.draw(st.sampled_from([*fixed, "x"]))
         if data.draw(st.booleans()):
             fixed.pop(data.draw(st.sampled_from(sorted(fixed))))
+        key = value = None
         if fixed and data.draw(st.booleans()):
-            fixed[data.draw(st.sampled_from(sorted(fixed)))] = data.draw(FILE_VALUE)
+            key, value = data.draw(st.sampled_from(sorted(fixed))), data.draw(FILE_VALUE)
+            fixed[key] = value
         bounds = odd_range or [start, start + points * step, step]
         spec = {"command": command, "variable": variable, "range": bounds,
                 "fixed": fixed}
         path = tmp_path_factory.mktemp("sweep") / "sweep.json"
         path.write_text(json.dumps(spec))  # inf, nan as Infinity, NaN
-        check_outcome(["sweep", str(path)], fmt)
+        # every float option is read unless the variable overrides it
+        # (sensitivity's fraction mode reads no N or k)
+        read = key != variable and \
+            COMMANDS[command].build.__annotations__.get(key) is float
+        check_outcome(["sweep", str(path)], fmt, refused=read and
+                      isinstance(value, str) and not plainly_spelled(value))
 
     @given(n=st.integers(1, 60), p=UNIT, f=st.floats(0.0, 0.999),
            q=st.one_of(st.none(), ANY_FLOAT), paths=st.integers(1, 40),

@@ -3,7 +3,7 @@ import re
 
 import pytest
 
-from kellymarket._validation import check_finite, check_positive
+from kellymarket._validation import as_float, check_finite, check_positive, plain
 from kellymarket.growth import (
     WalkSpec,
     sensitivity_bias,
@@ -19,7 +19,8 @@ from kellymarket.montecarlo import SimConfig
 
 
 # float() raises TypeError, ValueError or OverflowError naming no parameter,
-# and reads a bool as 0 or 1
+# reads a bool as 0 or 1, and text with digit separators, non-ASCII digits
+# or surrounding whitespace as the number it spells
 @pytest.mark.parametrize("value, detail", [
     ("x", "is not a number: 'x'"),
     (None, "is not a number: None"),
@@ -27,7 +28,13 @@ from kellymarket.montecarlo import SimConfig
     (10 ** 400, "is beyond the float range"),
     (True, "is not a number: True"),
     (False, "is not a number: False"),
-], ids=["string", "None", "list", "beyond-float", "True", "False"])
+    ("0.5_0", "is not a number: '0.5_0'"),
+    ("\u0660.\u0665", "is not a number: '\u0660.\u0665'"),
+    (" 0.5", "is not a number: ' 0.5'"),
+    ("0.5\n", "is not a number: '0.5\\n'"),
+], ids=["string", "None", "list", "beyond-float", "True", "False",
+        "digit-separator", "arabic-indic-digits", "leading-space",
+        "trailing-newline"])
 @pytest.mark.parametrize("call, name", [
     (odds_to_probability, "odds"),
     (lambda v: optimal_fraction_alpha(0.9, 0.5, v), "alpha"),
@@ -71,3 +78,42 @@ def test_negative_or_non_finite_refused_by_name(call, name, value):
 def test_bool_refused_as_an_integer(call, message, value):
     with pytest.raises(ValueError, match=f"^{re.escape(f'{message}, got {value}')}$"):
         call(value)
+
+
+# what int() and float() read besides: Python's digit separators, every
+# Unicode decimal digit, and any surrounding whitespace
+@pytest.mark.parametrize("text, value", [
+    ("1_0", 10.0), ("0.5_0", 0.5), ("1e1_0", 1e10), ("\u0661\u0660", 10.0),
+    ("\uff11\uff10", 10.0), ("\U0001d7cf\U0001d7ce", 10.0), (" 10", 10.0),
+    ("10 ", 10.0), ("\t10", 10.0), ("10\n", 10.0), ("\x0b10", 10.0),
+    ("10\x0c", 10.0), ("10\r", 10.0), ("\u200310", 10.0), ("10\xa0", 10.0),
+])
+def test_other_spellings_are_not_plain(text, value):
+    assert float(text) == value
+    assert not plain(text)
+    with pytest.raises(ValueError, match=f"^x is not a number: {re.escape(repr(text))}$"):
+        as_float(text, "x")
+
+
+@pytest.mark.parametrize("text", [
+    "10", "+10", "-10", "0.5", ".5", "5.", "1e-3", "1E+3", "-inf", "inf",
+    "Infinity", "nan", "-NaN", "0x10", "abc", "",
+])
+def test_ascii_spellings_read_as_float_reads_them(text):
+    assert plain(text)
+    try:
+        expected = float(text)
+    except ValueError:
+        with pytest.raises(ValueError, match="^x is not a number: "):
+            as_float(text, "x")
+    else:
+        assert repr(as_float(text, "x")) == repr(expected)
+
+
+# a bool is no number; float() judges any other value that is not text
+@pytest.mark.parametrize("value, expected", [
+    (True, False), (False, False), (0, True), (10 ** 400, True), (0.5, True),
+    (math.inf, True), (None, True), ([1], True),
+])
+def test_plain_beyond_text(value, expected):
+    assert plain(value) is expected
