@@ -9,7 +9,9 @@ the count gives high parts that numpy sums exactly, in any order, and
 exact remainders.  Once an error bound on numpy's sum of the remainders
 shows that every value it allows rounds alike, that is the exactly rounded
 sum; otherwise, or for values whose extraction could overflow or lose
-bits, ``math.fsum`` decides.
+bits, ``math.fsum`` decides.  Above ``_BLOCK`` values each level runs block
+by block through two buffers of a block, and takes each block's remainders
+again from the values, so no call allocates an array as long as its input.
 """
 
 import math
@@ -21,6 +23,15 @@ _FSUM_MIN_EXTRACT = 512
 # Each level leaves remainders about 2^53 / n times smaller than the
 # last; few sums need more than two.
 _LEVELS = 4
+# Above this many values :func:`_fsum` extracts block by block through two
+# buffers of a block (256 KB), not through new arrays as long as the values
+# (800 KB each at 10^5, on fresh pages).  Cold calls (a reference kernel run
+# before each, median of 31) at 10^5 positive values: whole arrays 203 us,
+# blocks of 8,192 values 233, of 16,384 196, of 32,768 185 with twice the
+# buffers; at 2 * 10^4 values two blocks of 16,384 take 52 us against 43
+# for one array.  A sum that cancels takes each block's remainders again at
+# every level: three levels at 10^5 take 0.90 ms against 0.52.
+_BLOCK = 16384
 
 
 def _exact_product(count, x):
@@ -80,6 +91,20 @@ def _pairwise_sum(values):
     return total
 
 
+def _remainders(blocks, sigmas):
+    """The remainders of each of ``blocks``, ``(values, high, low)``, once a
+    high part is taken off at each of ``sigmas`` in turn: the high parts go
+    to the buffer ``high`` and the remainders to ``low``.  Yields the
+    remainders with the block's buffers."""
+    import numpy as np
+    for r, high, low in blocks:
+        for sigma in sigmas:
+            q = np.add(r, sigma, out=high)
+            q -= sigma
+            r = np.subtract(r, q, out=low)
+        yield r, high, low
+
+
 def _fsum(values):
     """``math.fsum(values)`` for a 1-D float64 array, bit for bit: the same
     value, the same signed zero, and the same NaN or exception."""
@@ -87,30 +112,49 @@ def _fsum(values):
     if n < _FSUM_MIN_EXTRACT:
         return math.fsum(memoryview(values))
     import numpy as np
-    parts, r, spare = [], values, None
+    add, largest, smallest = np.add.reduce, np.maximum.reduce, np.minimum.reduce
+    # a single block keeps its remainders from one level to the next, in an
+    # array numpy makes as long as the values; more blocks share two buffers
+    # of a block, and each level takes their remainders again from the values
+    if n <= _BLOCK:
+        blocks = [(values, None, None)]
+    else:
+        highs, lows = np.empty((2, _BLOCK))
+        blocks = [(values[i:i + _BLOCK], highs[:n - i], lows[:n - i])
+                  for i in range(0, n, _BLOCK)]
+    sigmas, parts = [], []
+    big = max(float(largest(values)), -float(smallest(values)))  # NaN if any is
     for _ in range(_LEVELS):
-        big = max(float(r.max()), -float(r.min()))  # NaN if any is NaN
         if big == 0.0 and parts:  # no remainder: the parts are exact
             return math.fsum(parts)
         if not 0.0 < big < math.inf:  # all zeros, an inf or a NaN
             break
         # sigma > (n + 1) 2^e, 2^e >= max|r|: the high parts q are
         # multiples of sigma 2^-53 and every partial sum of them is below
-        # sigma, so numpy adds them exactly; each remainder r - q is exact
-        # and at most sigma 2^-53
+        # sigma, so numpy adds them exactly, block by block and in any
+        # order; each remainder r - q is exact and at most sigma 2^-53
         k = math.frexp(big)[1] + (n + 1).bit_length()
         if not -960 < k < 1024:  # sigma overflows, or the bound below underflows
             break
         sigma = math.ldexp(1.0, k)
-        q = np.add(r, sigma, out=spare)
-        q -= sigma
-        parts.append(float(q.sum()))
-        spare, r = (None if r is values else r), np.subtract(r, q, out=q)
+        part = s = 0.0
+        for r, high, _ in _remainders(blocks, sigmas) if sigmas else blocks:
+            q = np.add(r, sigma, out=high)
+            q -= sigma
+            part += float(add(q))
+            r = np.subtract(r, q, out=q)
+            s += float(add(r))
+        sigmas.append(sigma)
+        parts.append(part)
         # a float sum of n terms, in any order, errs by at most
         # (n - 1) 2^-53 / (1 - (n - 1) 2^-53) times the sum of their sizes,
         # here at most n sigma 2^-53: in all, below n^2 sigma 2^-105
-        s, e = float(r.sum()), math.ldexp(n * n, k - 105)
+        e = math.ldexp(n * n, k - 105)
         low = math.fsum(parts + [s, -e])
         if low == math.fsum(parts + [s, e]):  # rounding is monotone
             return low
+        if len(blocks) == 1:
+            blocks[0], sigmas = (r, None, None), []
+        big = max(max(float(largest(r)), -float(smallest(r)))
+                  for r, _, _ in (_remainders(blocks, sigmas) if sigmas else blocks))
     return math.fsum(memoryview(values))

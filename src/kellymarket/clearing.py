@@ -21,6 +21,16 @@ bits whatever the capitals' range, and none rescales them again; every total
 is exactly rounded (bit for bit ``math.fsum``).
 numpy is imported only by the functions that build or scan those arrays;
 the two-investor closed forms at the end run without it.
+
+What a solve of 300 investors with uniform beliefs costs, stage by stage
+(best of 5 runs of 2,000 calls, one CPU of a 2-core x86 host, Python 3.11,
+numpy 2.4): the sort and the running sums 14 us; the two totals 16 us; the
+exposure at the three bracket points 5 us; the segment and its root 32 us,
+about half of it the four coefficient sums; the mirrored running sums 6 us,
+when the root lies above one half; the fractions and the residual 11 us;
+the exposures as a tuple 6 us; 86 us in all.  The seven exact sums take
+about 45% of a solve (41 of 93 us in another run).  At 1,000 investors the
+solve takes 177 us, 66 of them in the segment.
 """
 
 import math
@@ -83,14 +93,15 @@ class MarketPopulation:
         inv = tuple(investors)
         if not inv:
             raise ValueError("population must contain at least one investor")
-        self._hold(np.array([i.capital for i in inv], dtype=float),
-                   np.array([i.belief for i in inv], dtype=float))
+        capitals = np.array([i.capital for i in inv], dtype=float)
+        self._hold(capitals, np.array([i.belief for i in inv], dtype=float),
+                   capitals.max())
 
-    def _hold(self, capitals, beliefs):
+    def _hold(self, capitals, beliefs, largest):
         # a unit of 2^(e - 1) dollars puts the largest capital in [1, 2): exact,
         # so no sum or ratio taken in it moves a bit, and none over- or underflows
         import numpy as np
-        e = math.frexp(capitals.max())[1]
+        e = math.frexp(largest)[1]
         for name, array in (("capitals", capitals), ("beliefs", beliefs),
                             ("_unit_capitals", np.ldexp(capitals, 1 - e))):
             array.flags.writeable = False
@@ -101,7 +112,7 @@ class MarketPopulation:
         return {"capitals": self.capitals, "beliefs": self.beliefs}
 
     def __setstate__(self, state):  # unpickled arrays are writeable
-        self._hold(state["capitals"], state["beliefs"])
+        self._hold(state["capitals"], state["beliefs"], state["capitals"].max())
 
     def __eq__(self, other):
         import numpy as np
@@ -128,10 +139,11 @@ class MarketPopulation:
         with np.errstate(over="ignore"):
             capitals = self.capitals * factor
         # no factor can both overflow one capital and underflow another
-        for bound in (capitals.max(), capitals.min()):
-            check_positive(float(bound), "capital")
+        largest = float(capitals.max())
+        for bound in (largest, float(capitals.min())):
+            check_positive(bound, "capital")
         population = object.__new__(MarketPopulation)
-        population._hold(capitals, self.beliefs)
+        population._hold(capitals, self.beliefs, largest)
         return population
 
 
@@ -199,7 +211,7 @@ def _end_exposure(sums, total, weighted, p):
     c, q, _, sum_c, sum_cq = sums
     n, d = len(q), 1.0 - p
     k = int(q.searchsorted(p))  # q[:k] < p <= q[k:]
-    lo_c, lo_cq = (sum_c[k - 1], sum_cq[k - 1]) if k else (0.0, 0.0)
+    lo_c, lo_cq = (sum_c.item(k - 1), sum_cq.item(k - 1)) if k else (0.0, 0.0)
     hi_c, hi_cq = (total - lo_c, weighted - lo_cq) if k < n else (0.0, 0.0)
     estimate = (hi_cq - p * hi_c) / d + (lo_cq - p * lo_c) / p
     # to first order a running sum errs by n 2^-53 of itself, a difference
@@ -221,22 +233,24 @@ def _segment_root(c, q, cq, sum_c, sum_cq):
     segment ending there holds the root, and that segment's coefficients
     are summed again exactly rounded before the root is taken.
     """
-    import numpy as np
     # beliefs strictly inside the bracket are the only possible segment ends
-    first = int(np.searchsorted(q, _PRICE_LO, side="right"))
-    stop = int(np.searchsorted(q, _PRICE_HI, side="left"))
-    below_c = sum_c - c
-    below_cq = sum_cq - cq
+    first = int(q.searchsorted(_PRICE_LO, side="right"))
+    stop = int(q.searchsorted(_PRICE_HI, side="left"))
+    # the totals as the running sums reach them, summed as numpy sums them
+    end_c = (sum_c.item(-1) - c.item(-1)) + c.item(-1)
+    end_cq = (sum_cq.item(-1) - cq.item(-1)) + cq.item(-1)
     qs = q[first:stop]
-    lo_c, lo_cq = below_c[first:stop], below_cq[first:stop]
-    hi_c, hi_cq = below_c[-1] + c[-1] - lo_c, below_cq[-1] + cq[-1] - lo_cq
+    lo_c = sum_c[first:stop] - c[first:stop]
+    lo_cq = sum_cq[first:stop] - cq[first:stop]
+    hi_c, hi_cq = end_c - lo_c, end_cq - lo_cq
     values = ((lo_c - hi_c) * qs + (hi_cq - lo_c - lo_cq)) * qs + lo_cq
-    crossed = np.flatnonzero(values <= 0.0)
-    k = first + int(crossed[0]) if crossed.size else stop
-    upper = float(q[k]) if k < stop else _PRICE_HI
+    crossed = values <= 0.0
+    j = int(crossed.argmax()) if first < stop else 0  # the first True, else 0
+    k = first + j if first < stop and crossed[j] else stop
+    upper = q.item(k) if k < stop else _PRICE_HI
     # the investors below the segment are those below its upper end
-    m = int(np.searchsorted(q, upper, side="left"))
-    lower = float(q[m - 1]) if m > first else _PRICE_LO
+    m = int(q.searchsorted(upper, side="left"))
+    lower = q.item(m - 1) if m > first else _PRICE_LO
     lo_c, hi_c, lo_cq, hi_cq = (_fsum(x) for x in (c[:m], c[m:], cq[:m], cq[m:]))
     return _quadratic_root(math.fsum((lo_c, -hi_c)),
                            math.fsum((hi_cq, -lo_c, -lo_cq)), lo_cq,
@@ -250,12 +264,13 @@ def _quadratic_root(a2, a1, a0, lower, upper):
     root_disc = math.sqrt(max(a1 * a1 - 4.0 * a2 * a0, 0.0))
     t = -0.5 * (a1 + math.copysign(root_disc, a1))
     if t == 0.0:  # a1 = 0 and a2 a0 >= 0: the only real root is 0
-        roots = (0.0,)
-    elif a2 == 0.0:
-        roots = (a0 / t,)
+        best = 0.0
     else:
-        roots = (a0 / t, t / a2)
-    best = min(roots, key=lambda r: max(lower - r, r - upper))
+        best = a0 / t
+        if a2 != 0.0:  # the other root, where it lies nearer the segment
+            other = t / a2
+            if max(lower - other, other - upper) < max(lower - best, best - upper):
+                best = other
     return min(max(best, lower), upper)
 
 
@@ -271,14 +286,15 @@ def clearing_price(pop, tol=None):
     """
     import numpy as np
     capitals, unit, beliefs = pop._unit_capitals, pop._unit, pop.beliefs
-    order = np.argsort(beliefs)
+    order = beliefs.argsort()
     sums = _running_sums(capitals[order], beliefs[order])
     c, q, cq = sums[:3]
-    total, weighted, mb = _totals(c, cq, float(q[0]), float(q[-1]))
+    lowest, highest = q.item(0), q.item(-1)
+    total, weighted, mb = _totals(c, cq, lowest, highest)
     # the residual's rounding grows with the capital, so the default does
     tol = 1e-9 * total if tol is None else check_positive(tol, "tol") / unit
-    if q[0] == q[-1]:
-        q = float(beliefs[0])
+    if lowest == highest:
+        q = beliefs.item(0)  # the first as given: beliefs 0.0 and -0.0 are equal
         if not 0.0 < q < 1.0:
             raise NoInteriorClearing(
                 f"all beliefs are {q:g}; exposure is one-sided everywhere"
@@ -306,14 +322,16 @@ def clearing_price(pop, tol=None):
     else:
         price = _segment_root(*sums)
 
-    exposures = capitals * _kelly_fraction(beliefs, price, np.where)
-    residual = _fsum(exposures)
+    fractions = _kelly_fraction(beliefs, price, np.where)
+    # the residual is summed in the unit, where no capital overflows; the
+    # exposures are taken in dollars, where none underflows to 0
+    residual = _fsum(capitals * fractions)
     if abs(residual) > tol:
         raise ValueError(
             f"clearing residual {residual * unit:.3g} exceeds tolerance "
             f"{tol * unit:.3g} at price {price:.12g}"
         )
-    return ClearingResult(price, tuple((exposures * unit).tolist()), mb,
+    return ClearingResult(price, tuple((pop.capitals * fractions).tolist()), mb,
                           gap=mb - price, residual=residual * unit)
 
 

@@ -2,6 +2,7 @@ import copy
 import math
 import pickle
 import re
+import sys
 import time
 
 import numpy as np
@@ -24,6 +25,7 @@ from kellymarket.clearing import (
     signed_exposure,
 )
 from kellymarket.clearing import _quadratic_root
+from kellymarket.kelly import optimal_fraction
 
 from oracles import (
     bisection_clearing_price,
@@ -343,6 +345,15 @@ class TestClearingPrice:
         residual = re.search(r"residual (\S+)", str(info.value)).group(1)
         assert abs(float(residual)) > 1e-12
 
+    def test_exposure_far_below_the_largest_capital(self):
+        # in the unit of the largest capital $1e-300 underflows to 0; the
+        # exposure is capital times fraction in dollars, 8.57e-301
+        capitals, beliefs = (1e308, 1e-300, 1e300), (0.3, 0.9, 0.7)
+        result = clearing_price(pop(*zip(capitals, beliefs)))
+        assert result.exposures == tuple(c * optimal_fraction(q, result.price)
+                                         for c, q in zip(capitals, beliefs))
+        assert result.exposures[1] == pytest.approx(8.57e-301, rel=1e-3)
+
     def test_extreme_beliefs_with_imbalance(self):
         # all-or-nothing beliefs: one-sided demand is price-independent, so
         # the tiniest capital imbalance admits no interior clearing price,
@@ -660,3 +671,66 @@ class TestSinglePass:
         # coefficient sums split at the root's segment: 5n values in all
         assert lengths.count(n) <= 5
         assert sum(length for length in lengths if length > 3) == 5 * n
+
+    @pytest.mark.parametrize("n", [100, 300, 511, 512, 1000, 3000, 10_000])
+    def test_matches_the_multi_pass_solver_at_workload_sizes(self, n):
+        # the sizes the benchmark solves at, and the edge where _fsum starts
+        # extracting: the oracle sums every total with math.fsum
+        tiny = sys.float_info.min
+        for capitals, beliefs in _sized_markets(np.random.default_rng(n), n):
+            market = pop(*zip(capitals.tolist(), beliefs.tolist()))
+            unit = math.ldexp(1.0, math.frexp(capitals.max())[1] - 1)
+            for tol in (None, 1e-9, 1e300):
+                got = _outcome(clearing_price, market, tol)
+                want = _outcome(multi_pass_clearing_price, market, tol)
+                assert got[:4] == want[:4], (n, capitals[:3], beliefs[:3], tol)
+                # an exposure is taken in dollars: it has the bits of the
+                # oracle's unit-scale one wherever both are normal
+                for x, y in zip(got[4:], want[4:]):
+                    y = float.fromhex(y)
+                    if abs(y) >= tiny and abs(y) / unit >= tiny:
+                        assert x == y.hex()
+                assert len(got) == len(want)
+
+
+def _sized_markets(rng, n):
+    """n investors with Pareto capital, beliefs in the benchmark's three
+    mixes (uniform, a tight cluster, a tenth certain), each as drawn, rounded
+    to two places (ties) and degenerate (every belief at one end, one shared
+    belief, only beliefs 0 and 1); capitals scaled by 1, 1e300 and 1e-300."""
+    for mix in ("uniform", "cluster", "certain"):
+        for shape in ("drawn", "ties", "degenerate"):
+            capitals = rng.pareto(1.5, n) + 1.0
+            if mix == "uniform":
+                beliefs = rng.uniform(0.0, 1.0, n)
+            elif mix == "cluster":
+                beliefs = np.clip(rng.normal(rng.uniform(0.3, 0.7), 0.02, n), 0.0, 1.0)
+            else:
+                beliefs = rng.uniform(0.05, 0.95, n)
+                certain = rng.random(n) < 0.1
+                beliefs[certain] = rng.integers(0, 2, certain.sum())
+            if shape == "ties":
+                beliefs = np.round(beliefs, 2)
+            elif shape == "degenerate":
+                beliefs = {"uniform": np.full(n, float(rng.integers(0, 2))),
+                           "cluster": np.full(n, beliefs[0]),
+                           "certain": rng.integers(0, 2, n).astype(float)}[mix]
+            for scale in (1.0, 1e300, 1e-300):
+                yield capitals * scale, beliefs
+
+
+def test_sums_of_a_hundred_thousand_investors_are_exactly_rounded():
+    # above _exact._BLOCK values _fsum extracts block by block; each total
+    # must still be math.fsum's, cancelling ones near the clearing price too
+    rng = np.random.default_rng(29)
+    capitals = rng.pareto(1.5, 100_000) + 1.0
+    beliefs = rng.uniform(0.0, 1.0, 100_000)
+    market = pop(*zip(capitals.tolist(), beliefs.tolist()))
+    assert market.total_capital == math.fsum(capitals)
+    assert mean_belief(market) == min(max(
+        math.fsum(capitals * beliefs) / math.fsum(capitals), beliefs.min()),
+        beliefs.max())
+    price = clearing_price(market).price
+    for p in (0.02, 0.5, price, np.nextafter(price, 1.0), 0.98):
+        fractions = (beliefs - p) / np.where(beliefs >= p, 1.0 - p, p)
+        assert aggregate_exposure(market, p) == math.fsum(capitals * fractions), p

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -7,10 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kellymarket import _exact
-from kellymarket._exact import _FSUM_MIN_EXTRACT, _fsum, _pairwise_sum
+from kellymarket._exact import _BLOCK, _FSUM_MIN_EXTRACT, _fsum, _pairwise_sum
 
 SIZES = (_FSUM_MIN_EXTRACT - 1, _FSUM_MIN_EXTRACT, _FSUM_MIN_EXTRACT + 1,
          1000, 4097)
+# one block, one block exactly, and a block and one value
+BLOCK_EDGES = (_BLOCK - 1, _BLOCK, _BLOCK + 1)
 
 
 def outcome(total, values):
@@ -49,10 +52,43 @@ KINDS = ("pareto", "mixed", "cancelling", "wide")
 
 
 @pytest.mark.parametrize("kind", KINDS)
-@pytest.mark.parametrize("n", SIZES)
+@pytest.mark.parametrize("n", SIZES + BLOCK_EDGES)
 def test_matches_fsum_around_the_crossover(n, kind):
     for seed in range(5):
         assert_fsum(array(seed, n, kind))
+
+
+@pytest.mark.parametrize("n", (_FSUM_MIN_EXTRACT, *BLOCK_EDGES, 3 * _BLOCK))
+def test_second_level_sum_matches_fsum(n, monkeypatch):
+    # exponents over 80 binades and a last value that cancels the rest:
+    # the sum is a rounding error, which the first level cannot certify
+    rng = np.random.default_rng(n)
+    values = np.ldexp(rng.pareto(1.5, n) * rng.choice([-1.0, 1.0], n),
+                      rng.integers(-80, 1, n))
+    values[-1] = -math.fsum(values[:-1])
+    want, fsum, lengths = math.fsum(values), math.fsum, []
+
+    def counted(parts):
+        lengths.append(len(parts) if isinstance(parts, list) else None)
+        return fsum(parts)
+
+    monkeypatch.setattr(math, "fsum", counted)
+    assert _fsum(values).hex() == want.hex()
+    # two levels' parts and the bounds, and never math.fsum over the values
+    assert max(lengths) >= 4 and None not in lengths
+
+
+@pytest.mark.parametrize("kind", ["pareto", "mixed", "cancelling"])
+def test_allocates_no_array_as_long_as_the_values(kind):
+    # above _BLOCK values the extraction runs through two buffers of a block
+    values = array(1, 10 ** 5, kind)
+    tracemalloc.start()
+    try:
+        assert _fsum(values) == math.fsum(values)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < values.nbytes / 2
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -97,6 +133,8 @@ def test_matches_fsum_at_ties_and_subnormals(tail):
     np.full(_FSUM_MIN_EXTRACT, 5e-324),
     np.ldexp(np.arange(1.0, 2001.0), -1074),
     np.full(_FSUM_MIN_EXTRACT, 1.7e308 / _FSUM_MIN_EXTRACT),
+    np.full(_BLOCK + 1, -0.0),
+    np.zeros(_BLOCK + 1),
 ])
 def test_matches_fsum_on_zeros_subnormals_and_the_float_range(values):
     assert_fsum(values)
@@ -118,6 +156,22 @@ def test_keeps_fsum_outcomes_for_non_finite_and_overflowing_input(special, want)
         got = outcome(_fsum, values)
     assert got == outcome(math.fsum, values)
     assert got == (want if isinstance(want, tuple) else float(want).hex())
+
+
+@pytest.mark.parametrize("special, want", [
+    (math.nan, "nan"),
+    (math.inf, "inf"),
+    (-math.inf, "-inf"),
+])
+@pytest.mark.parametrize("at", [0, _BLOCK - 1, _BLOCK, 2 * _BLOCK])
+def test_keeps_fsum_outcomes_in_any_block(special, want, at):
+    # a NaN or an infinity in a later block is found as in the first
+    values = array(5, 2 * _BLOCK + 1, "mixed")
+    values[at] = special
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = outcome(_fsum, values)
+    assert got == outcome(math.fsum, values) == float(want).hex()
 
 
 def test_extraction_certifies_without_math_fsum_over_the_values(monkeypatch):
