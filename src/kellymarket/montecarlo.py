@@ -8,25 +8,32 @@ The engine never builds those objects per path.  It works in two stages:
 * **Keys.** The ``SeedSequence`` hash (O'Neill's seed_seq mixing over
   uint32 words) is a fixed schedule.  The pool that mixes the seed's
   words is computed once per run in plain Python; the stage that mixes
-  in the path index, and the output hash, run in one numpy pass over a
-  whole block of path indices.
-* **Flips.** Walks of at most :data:`BULK_MAX_STEPS` (40) steps run
+  in the path index, and the output hash, run in one ``(4, paths)``
+  uint32 pass, a row per pool word, over a whole block of path indices.
+* **Flips.** Walks of at most :data:`BULK_MAX_STEPS` (44) steps run
   Philox itself in numpy over a chunk of paths by ``ceil(N/4)`` counter
-  blocks, with the 64-bit multiply-high split into 32-bit halves and
-  every constant a numpy scalar.  Longer walks re-key one native numpy
-  Philox per path through its state setter and let numpy's C loop draw
-  the flips; walks of at most 512 steps are then compared and counted a
-  batch of paths (at most 4,096 words) at a time, longer ones path by
-  path.
+  blocks, with the 64-bit multiply-high split into 32-bit halves, its
+  sums formed in place, and every constant a 0-d numpy array, built once
+  per process.  Longer walks re-key one native numpy Philox per path
+  through its state setter and let numpy's C loop draw the flips; walks
+  of at most 512 steps are then compared and counted a batch of paths (at
+  most 4,096 words) at a time, longer ones path by path.
 
 The crossover is a property of N alone, fixed where the two kernels took
 equal time per path.  Bulk time over native time of ``_path_up_steps``,
 medians of 21 interleaved repeats on one CPU of a 2-core x86 VM (Python
-3.11.7, numpy 2.4.6), read 0.40-0.92 at N = 10, 0.90-0.99 at N = 40,
-0.97-1.03 at N = 44, 1.02-1.17 at N = 50 and 1.28-1.46 at N = 72, over
-250, 1,000 and 20,000 paths.  On the same host, counting path by path
+3.11.7, numpy 2.4.6), in two sweeps over 250 and 1,000 paths, read
+0.89-0.95 at N = 40, 0.93-1.01 at N = 44, 0.95-1.04 at N = 48 and
+1.03-1.09 at N = 52, and in one of them 0.40-0.72 at N = 10 and
+1.15-1.25 at N = 72; at 20,000 paths, 0.72-0.90 at N = 40 to 48 and
+1.00-1.03 at N = 52 and 56.  On the same host, counting path by path
 took 1.65x the batched time at N = 41, 1.09x at 512 steps, 1.01x at 640
 and 0.93x at 1,024 (1,000 paths, 21 repeats).
+
+Aggregation forms the per-step growth, the paired differences and the
+threshold hits of every compared fraction as one ``(strategies, paths)``
+array and reduces it along the path axis; :func:`run` is a comparison of
+one fraction.
 
 Both kernels reproduce numpy's streams bit for bit, so a result depends
 only on the config.  Only :func:`run` takes a ``workers`` argument, with
@@ -35,8 +42,10 @@ that build arrays, when a run starts, and ``numpy.random`` only by the
 native kernel; building and checking a :class:`SimConfig` needs neither.
 """
 
+import functools
 import itertools
 import math
+import types
 from dataclasses import dataclass
 from typing import Optional
 
@@ -77,6 +86,8 @@ class SimConfig:
     threshold: Optional[float] = None  # terminal log-wealth target Q
 
     def __post_init__(self):
+        if not isinstance(self.walk, WalkSpec):
+            raise ValueError(f"walk must be a WalkSpec, got {self.walk!r}")
         fraction = as_float(self.fraction, "fraction")
         if not 0.0 <= fraction < 1.0:
             raise ValueError(
@@ -149,7 +160,7 @@ _PHILOX_ROUNDS = 10
 # Walks of at most this many steps run Philox in numpy over chunks of
 # paths; longer walks re-key one native generator per path.  Fixed where
 # the two kernels cost the same per path (module docstring).
-BULK_MAX_STEPS = 40
+BULK_MAX_STEPS = 44
 # Chunk size limit in (path x counter block) elements for the bulk kernel,
 # and in paths for the native one: keeps memory flat at any path count.
 _CHUNK_ELEMENTS = 2 ** 13
@@ -161,7 +172,7 @@ _BATCH_MAX_STEPS = 512
 
 
 def _hashmix(value, consts, call):
-    """Hash step number ``call``; ``value`` is an int or a uint32 array."""
+    """Hash step number ``call`` of the int ``value``."""
     value = ((value ^ consts[call]) * consts[call + 1]) & _M32
     return value ^ (value >> 16)
 
@@ -186,33 +197,89 @@ def _seed_pool(seed):
     return tuple(pool)
 
 
+@functools.cache
+def _numpy_constants():
+    """The constants of both stages as read-only numpy arrays, built on the
+    first run, so that importing this module loads no numpy.  A ufunc
+    takes a 0-d array as it is, where it converts a Python int or a numpy
+    scalar on every call."""
+    import numpy as np
+
+    def const(value, dtype):
+        array = np.array(value, dtype=dtype)
+        array.flags.writeable = False
+        return array
+
+    def per_pool_word(values):
+        return const([[v] for v in values], np.uint32)
+
+    return types.SimpleNamespace(
+        # the index word's hash calls 16-19, one row per pool word it is
+        # mixed into, and the output hash's calls 0-3 on those words
+        index_xor=per_pool_word(_INDEX_CONSTS[16:20]),
+        index_mul=per_pool_word(_INDEX_CONSTS[17:21]),
+        out_xor=per_pool_word(_OUT_CONSTS[0:4]),
+        out_mul=per_pool_word(_OUT_CONSTS[1:5]),
+        mix_mult_r=const(_MIX_MULT_R, np.uint32),
+        sixteen=const(16, np.uint32),
+        mask=const(_M32, np.uint64),
+        shift=const(32, np.uint64),
+        philox_m=tuple(tuple(const(v, np.uint64) for v in (m & _M32, m >> 32, m))
+                       for m in _PHILOX_M),
+        philox_w=tuple(const(w, np.uint64) for w in _PHILOX_W),
+    )
+
+
 def _philox_keys(pool, start, stop):
     """Keys of the streams ``SeedSequence(seed, spawn_key=(i,))`` for path
-    indices ``start <= i < stop <= 2**32``, from ``_seed_pool(seed)``: the
-    two uint64 arrays that ``generate_state(2, np.uint64)`` gives, bit for bit.
+    indices ``start <= i < stop <= 2**32``, from ``_seed_pool(seed)``: a
+    uint64 array of two rows, the two words that ``generate_state(2,
+    np.uint64)`` gives, bit for bit.
 
     numpy zero-pads the seed's words to four before it appends the spawn
     key, so the pool that the index word is mixed into is the seed's own
-    :func:`_seed_pool`; the index word takes hash calls 16-19.
+    :func:`_seed_pool`; the index word takes hash calls 16-19.  All four
+    pool words go through one ``(4, paths)`` uint32 pass.
     """
     import numpy as np
+    c = _numpy_constants()
+    sixteen = c.sixteen
     index = np.arange(start, stop, dtype=np.uint64).astype(np.uint32)
-    pool = [_mix(w, _hashmix(index, _INDEX_CONSTS, 16 + j))
-            for j, w in enumerate(pool)]
-    words = [_hashmix(w, _OUT_CONSTS, j).astype(np.uint64) for j, w in enumerate(pool)]
-    return words[0] | words[1] << 32, words[2] | words[3] << 32
+    words = index ^ c.index_xor
+    words *= c.index_mul
+    words ^= words >> sixteen
+    words *= c.mix_mult_r
+    pool = np.array([[_MIX_MULT_L * w & _M32] for w in pool], dtype=np.uint32)
+    np.subtract(pool, words, out=words)
+    words ^= words >> sixteen
+    words ^= c.out_xor
+    words *= c.out_mul
+    words ^= words >> sixteen
+    keys = words.astype(np.uint64)
+    keys[1::2] <<= c.shift
+    return keys[0::2] | keys[1::2]
 
 
 def _mulhilo(m, x, mask, shift):
     """High and low 64-bit words of ``m * x`` for a constant m and a uint64
-    array x, from 32-bit partial products that cannot overflow.  ``m`` is
-    ``(m & mask, m >> shift, m)``; the constants are numpy uint64 scalars,
-    so that no operation converts a Python int."""
+    array x, from 32-bit partial products that cannot overflow; the low
+    word is written over ``x``.  ``m`` is ``(m & mask, m >> shift, m)``, as
+    0-d uint64 arrays.  The sums are formed in place, so that a call
+    allocates five arrays, not fifteen."""
     m_lo, m_hi, m = m
     x_lo, x_hi = x & mask, x >> shift
-    t = x_hi * m_lo + ((x_lo * m_lo) >> shift)
-    u = x_lo * m_hi + (t & mask)
-    return x_hi * m_hi + (t >> shift) + (u >> shift), x * m
+    t = x_lo * m_lo
+    t >>= shift
+    t += x_hi * m_lo
+    x_lo *= m_hi
+    x_lo += t & mask
+    x_hi *= m_hi
+    t >>= shift
+    x_hi += t
+    x_lo >>= shift
+    x_hi += x_lo
+    x *= m
+    return x_hi, x
 
 
 def _below(p):
@@ -225,24 +292,34 @@ def _bulk_up_steps(keys, n, p):
     """Up-step counts from Philox4x64-10 run in numpy: one row per key,
     counter blocks 1..ceil(n/4), four output words per block in order."""
     import numpy as np
-    u64 = np.uint64
-    mask, shift, limit = u64(_M32), u64(32), u64(_below(p))
-    m0, m1 = ((u64(m & _M32), u64(m >> 32), u64(m)) for m in _PHILOX_M)
-    w0, w1 = map(u64, _PHILOX_W)
+    c = _numpy_constants()
+    mask, shift = c.mask, c.shift
+    (m0, m1), (w0, w1) = c.philox_m, c.philox_w
+    limit = np.uint64(_below(p))
     k0, k1 = (k[:, None] for k in keys)
     x0 = np.arange(1, -(-n // 4) + 1, dtype=np.uint64)[None, :]
-    x1 = x2 = x3 = np.zeros((1, 1), dtype=np.uint64)  # broadcast until mixed
+    # the other three words broadcast until mixed; from round 2 on both
+    # high words span every key and block, so they are mixed in place
+    x1, x2, x3 = (np.zeros((1, 1), dtype=np.uint64) for _ in range(3))
     for r in range(_PHILOX_ROUNDS):
         if r:
             k0, k1 = k0 + w0, k1 + w1
         hi0, lo0 = _mulhilo(m0, x0, mask, shift)
         hi1, lo1 = _mulhilo(m1, x2, mask, shift)
-        x0, x1, x2, x3 = hi1 ^ x1 ^ k0, lo1, hi0 ^ x3 ^ k1, lo0
-    counts = np.zeros(len(keys[0]), dtype=np.int64)
-    for word, x in enumerate((x0, x1, x2, x3)):
-        steps = max(0, -(-(n - word) // 4))  # blocks whose `word` is a step
-        counts += (x[:, :steps] < limit).sum(axis=1)
-    return counts
+        if r < 2:
+            x0, x2 = hi1 ^ x1 ^ k0, hi0 ^ x3 ^ k1
+        else:
+            hi1 ^= x1
+            hi1 ^= k0
+            hi0 ^= x3
+            hi0 ^= k1
+            x0, x2 = hi1, hi0
+        x1, x3 = lo1, lo0
+    # the blocks whose `word` is a step, ceil((n - word) / 4), counted in
+    # one pass over the four words side by side
+    ups = [x[:, :-(-(n - word) // 4)] < limit
+           for word, x in enumerate((x0, x1, x2, x3))]
+    return np.count_nonzero(np.concatenate(ups, axis=1), axis=1)
 
 
 def _native_up_steps(keys, n, p):
@@ -251,8 +328,9 @@ def _native_up_steps(keys, n, p):
     counted a batch of paths at a time, or path by path for long walks."""
     import numpy as np
     bitgen = np.random.Philox(0)
-    state = {"bit_generator": "Philox",
-             "state": {"counter": [0, 0, 0, 0], "key": None},
+    draw = bitgen.random_raw
+    stream = {"counter": [0, 0, 0, 0], "key": None}
+    state = {"bit_generator": "Philox", "state": stream,
              "buffer": [0, 0, 0, 0], "buffer_pos": 4,
              "has_uint32": 0, "uinteger": 0}
     limit = np.uint64(_below(p))
@@ -263,9 +341,9 @@ def _native_up_steps(keys, n, p):
     for start in range(0, len(counts), rows):
         words = []
         for key in itertools.islice(pairs, rows):
-            state["state"]["key"] = key
+            stream["key"] = key
             bitgen.state = state
-            words.append(bitgen.random_raw(n))
+            words.append(draw(n))
         if batched:
             block = np.concatenate(words).reshape(-1, n)
             counts[start:start + rows] = np.count_nonzero(block < limit, axis=1)
@@ -290,52 +368,71 @@ def _path_up_steps(walk, paths, seed):
     ])
 
 
-def _per_step_growth(config, up_steps):
-    n, f = config.walk.steps, config.fraction
-    return (up_steps * math.log1p(f) + (n - up_steps) * math.log1p(-f)) / n
-
-
 # Aggregation: the reductions behind numpy's ``mean()`` and ``std(ddof=1)``
-# called without their Python-level wrappers, so the same pairwise sums in
-# the same order give the same bits.  A hit fraction is an exact count over
-# the paths, as the mean of a bool array is.
+# called without their Python-level wrappers, along the last (path) axis,
+# so the same pairwise sums in the same order give each row the same bits.
+# A hit fraction is an exact count over the paths, as the mean of a bool
+# array is.
 def _mean(values):
-    """``float(values.mean())`` of a float64 array."""
+    """``values.mean(axis=-1)`` of a float64 array."""
     import numpy as np
-    return float(np.add.reduce(values) / len(values))
+    return np.add.reduce(values, axis=-1) / values.shape[-1]
 
 
 def _std_error(values, mean):
-    """Standard error of ``mean``, the mean of ``values`` (one per path):
-    ``values.std(ddof=1) / sqrt(len(values))``; 0 for one value."""
+    """Standard error of ``mean``, the mean of ``values`` along the last
+    axis (one value per path): ``values.std(ddof=1, axis=-1) / sqrt(n)``;
+    0 for one value, whose deviation from its own mean is 0."""
     import numpy as np
-    n = len(values)
-    if n == 1:
-        return 0.0
-    dev = values - mean
-    return math.sqrt(np.add.reduce(dev * dev) / (n - 1)) / math.sqrt(n)
+    n = values.shape[-1]
+    dev = values - mean[..., None]
+    dev *= dev
+    return np.sqrt(np.add.reduce(dev, axis=-1) / max(n - 1, 1)) / math.sqrt(n)
 
 
-def _histogram(walk, up_steps):
+def _aggregate(configs, up_steps):
+    """The :class:`SimResult` of each of ``configs``, which share walk,
+    paths and seed, from their common ``up_steps``, with the mean and
+    standard error of each config's per-step growth less the first one's.
+
+    One ``(rows, paths)`` array holds every config's per-step growth, then
+    the differences of configs 2, 3, ... from the first, and each quantity
+    is reduced along the path axis in one call for all rows.  The first
+    config differs from itself by exactly 0 on every path.
+    """
     import numpy as np
-    return tuple(np.bincount(up_steps, minlength=walk.steps + 1).tolist())
+    walk, paths = configs[0].walk, configs[0].paths
+    n, strategies = walk.steps, len(configs)
+    values = np.empty((2 * strategies - 1, paths))
+    growth = values[:strategies]
+    np.multiply(up_steps, np.array([[math.log1p(c.fraction)] for c in configs]),
+                out=growth)
+    growth += (n - up_steps) * np.array([[math.log1p(-c.fraction)] for c in configs])
+    growth /= n
+    if strategies > 1:
+        np.subtract(growth[1:], growth[0], out=values[strategies:])
+    means = _mean(values)
+    errors = _std_error(values, means).tolist()
+    means = means.tolist()
 
+    # log-wealth stays 0 at f = 0; else the exact tail's k <= k(Q)
+    hits = [None if c.threshold is None else float(c.threshold >= 0.0)
+            for c in configs]
+    tails = [i for i, c in enumerate(configs)
+             if c.threshold is not None and c.fraction > 0.0]
+    if tails:
+        limits = np.array([[threshold_steps(configs[i].fraction, walk,
+                                            configs[i].threshold)] for i in tails])
+        counts = np.add.reduce(up_steps <= limits, axis=-1, dtype=np.int64)
+        for i, count in zip(tails, counts.tolist()):
+            hits[i] = count / paths
 
-def _result(config, up_steps, per_step, hist):
-    import numpy as np
-    walk, f, q = config.walk, config.fraction, config.threshold
-    hit = None
-    if q is not None:  # log-wealth stays 0 at f = 0; else the exact tail's k <= k(Q)
-        hit = float(q >= 0.0) if f == 0.0 else int(np.count_nonzero(
-            up_steps <= threshold_steps(f, walk, q))) / len(up_steps)
-    mean = _mean(per_step)
-    return SimResult(
-        mean_log_growth_per_step=mean,
-        std_error=_std_error(per_step, mean),
-        threshold_hit_fraction=hit,
-        paths=config.paths,
-        up_step_histogram=hist,
-    )
+    hist = tuple(np.bincount(up_steps, minlength=n + 1).tolist())
+    results = [SimResult(mean_log_growth_per_step=mean, std_error=error,
+                         threshold_hit_fraction=hit, paths=paths,
+                         up_step_histogram=hist)
+               for mean, error, hit in zip(means, errors, hits)]
+    return results, [0.0, *means[strategies:]], [0.0, *errors[strategies:]]
 
 
 def run(config, workers=1):
@@ -343,8 +440,7 @@ def run(config, workers=1):
     statistics.  ``workers`` has no effect; it stays only because the
     benchmark's ``workers2_ratio`` probe (``bench/probes.py``) passes it."""
     up_steps = _path_up_steps(config.walk, config.paths, config.seed)
-    return _result(config, up_steps, _per_step_growth(config, up_steps),
-                   _histogram(config.walk, up_steps))
+    return _aggregate([config], up_steps)[0][0]
 
 
 def compare_strategies(configs):
@@ -363,26 +459,19 @@ def compare_strategies(configs):
             raise ValueError("configs must share walk, paths, and seed")
 
     up_steps = _path_up_steps(first.walk, first.paths, first.seed)
-    hist = _histogram(first.walk, up_steps)
-    per_steps = [_per_step_growth(c, up_steps) for c in configs]
-    rows = []
-    for c, per_step in zip(configs, per_steps):
-        diff = per_step - per_steps[0]
-        mean_diff = _mean(diff)
-        prob_below = None
-        if c.threshold is not None and c.fraction > 0.0:
-            prob_below = prob_growth_below(c.fraction, c.walk, c.threshold)
-        rows.append(
-            StrategyComparison(
-                fraction=c.fraction,
-                result=_result(c, up_steps, per_step, hist),
-                growth_rate=even_odds_growth_rate(c.walk.bias, c.fraction),
-                prob_below=prob_below,
-                mean_diff_vs_first=mean_diff,
-                se_diff_vs_first=_std_error(diff, mean_diff),
-            )
+    results, mean_diffs, se_diffs = _aggregate(configs, up_steps)
+    return [
+        StrategyComparison(
+            fraction=c.fraction,
+            result=result,
+            growth_rate=even_odds_growth_rate(c.walk.bias, c.fraction),
+            prob_below=(prob_growth_below(c.fraction, c.walk, c.threshold)
+                        if c.threshold is not None and c.fraction > 0.0 else None),
+            mean_diff_vs_first=mean_diff,
+            se_diff_vs_first=se_diff,
         )
-    return rows
+        for c, result, mean_diff, se_diff in zip(configs, results, mean_diffs, se_diffs)
+    ]
 
 
 def threshold_validation(config):

@@ -59,6 +59,12 @@ class TestSimConfig:
         with pytest.raises(ValueError, match=r"\bQ\b"):
             SimConfig(WalkSpec(10, 0.5), 0.1, 10, 1, threshold)
 
+    @pytest.mark.parametrize("walk", [(10, 0.6), None, "WalkSpec(10, 0.6)"])
+    def test_rejects_a_walk_that_is_not_a_walk_spec(self, walk):
+        with pytest.raises(ValueError,
+                           match=f"^walk must be a WalkSpec, got {re.escape(repr(walk))}$"):
+            SimConfig(walk, 0.2, 100, 1)
+
     def test_rejects_a_walk_over_the_step_cap_naming_n(self):
         # only checked, never run: a walk at the cap peaks near 1 GiB
         assert montecarlo._MAX_STEPS >= 10 ** 7
@@ -117,11 +123,15 @@ class TestRun:
 class TestEngineAgainstPerPathStreams:
     """The vectorised engine against one numpy Philox stream per path."""
 
+    # the last case is one full chunk of keys, ending at the last path index
     @pytest.mark.parametrize("seed", [0, 42, 2 ** 40 + 3, 2 ** 64 - 1])
-    @pytest.mark.parametrize("offset", [0, 1, 2 ** 32 - 1])
-    def test_keys_match_seed_sequence(self, seed, offset):
-        stop = min(offset + 3, 2 ** 32)
+    @pytest.mark.parametrize("offset, stop", [
+        (0, 3), (1, 4), (2 ** 32 - 1, 2 ** 32),
+        (2 ** 32 - montecarlo._CHUNK_ELEMENTS, 2 ** 32),
+    ])
+    def test_keys_match_seed_sequence(self, seed, offset, stop):
         k0, k1 = montecarlo._philox_keys(montecarlo._seed_pool(seed), offset, stop)
+        assert len(k0) == len(k1) == stop - offset
         for j, i in enumerate(range(offset, stop)):
             assert (int(k0[j]), int(k1[j])) == philox_key(seed, i)
 
@@ -229,26 +239,40 @@ class TestAggregation:
         expected = float(values.std(ddof=1) / math.sqrt(size)) if size > 1 else 0.0
         assert montecarlo._std_error(values, mean).hex() == expected.hex()
 
-    @pytest.mark.parametrize("paths", AGGREGATE_SIZES)
+    # five strategies, f = 0 and a config without a threshold among them;
+    # the last path count spans more than one chunk of keys
+    @pytest.mark.parametrize("paths", [*AGGREGATE_SIZES, montecarlo._CHUNK_ELEMENTS + 1])
     def test_results_keep_numpy_bits(self, paths):
         walk, seed = WalkSpec(30, 0.55), 1000 + paths
-        configs = [SimConfig(walk, f, paths, seed, -0.5) for f in (0.1, 0.35)]
+        configs = [SimConfig(walk, f, paths, seed, q) for f, q in (
+            (0.1, -0.5), (0.0, -0.5), (0.35, -0.5), (0.2, None), (0.6, 0.25))]
         rows = compare_strategies(configs)
         up_steps = montecarlo._path_up_steps(walk, paths, seed)
-        first = montecarlo._per_step_growth(configs[0], up_steps)
+
+        def per_step_growth(f):
+            n = walk.steps
+            return (up_steps * math.log1p(f) + (n - up_steps) * math.log1p(-f)) / n
+
+        def std_error(values):
+            return float(values.std(ddof=1) / math.sqrt(paths)) if paths > 1 else 0.0
+
+        first = per_step_growth(configs[0].fraction)
         for config, row in zip(configs, rows):
-            per_step = montecarlo._per_step_growth(config, up_steps)
+            f, q = config.fraction, config.threshold
+            per_step = per_step_growth(f)
             diff = per_step - first
-            k = threshold_steps(config.fraction, walk, config.threshold)
+            if q is None:
+                hit = None
+            elif f == 0.0:
+                hit = float(q >= 0.0)
+            else:
+                hit = float(np.mean(up_steps <= threshold_steps(f, walk, q)))
             assert row.result == run(config)
             assert (row.result.mean_log_growth_per_step, row.result.std_error,
                     row.result.threshold_hit_fraction,
                     row.mean_diff_vs_first, row.se_diff_vs_first) == (
-                float(per_step.mean()),
-                float(per_step.std(ddof=1) / math.sqrt(paths)) if paths > 1 else 0.0,
-                float(np.mean(up_steps <= k)),
-                float(diff.mean()),
-                float(diff.std(ddof=1) / math.sqrt(paths)) if paths > 1 else 0.0)
+                float(per_step.mean()), std_error(per_step), hit,
+                float(diff.mean()), std_error(diff))
 
 
 class TestReproducibility:
