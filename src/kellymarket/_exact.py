@@ -4,33 +4,48 @@ numpy's summation order, and ``math.fsum`` of an array at numpy speed.
 Above a few hundred values :func:`_fsum` splits the array by error-free
 extraction (Rump, Ogita and Oishi, "Accurate floating-point summation
 part I: faithful rounding", SIAM J. Sci. Comput. 31(1), 2008): rounding
-each value to a multiple of a power of two fixed by the largest value and
-the count gives high parts that numpy sums exactly, in any order, and
+each value to a multiple of a power of two fixed by a bound on the values
+and the count gives high parts that numpy sums exactly, in any order, and
 exact remainders.  Once an error bound on numpy's sum of the remainders
 shows that every value it allows rounds alike, that is the exactly rounded
-sum; otherwise, or for values whose extraction could overflow or lose
-bits, ``math.fsum`` decides.  Above ``_BLOCK`` values each level runs block
-by block through two buffers of a block, and takes each block's remainders
-again from the values, so no call allocates an array as long as its input.
+sum; otherwise the next level splits the remainders, whose size the last
+level bounds, and at the end, or for values whose extraction could
+overflow or lose bits, ``math.fsum`` decides.  A caller that knows a bound
+on its values states it; otherwise a pass finds the largest.  Above
+``_BLOCK`` values each level runs block by block through one buffer of a
+block, and takes each block's remainders again from the values, so no
+call allocates an array as long as its input.  :class:`_Extraction` runs
+one level over the rows of a 2-D array and reads the sums of any runs of
+columns from it.
 """
 
 import math
 
-# Below this many values math.fsum is faster than the numpy passes: it
-# takes 30-55 ns a value, extraction about 13 us a call plus 2 ns a value
-# (the two meet near 450 values on a 2-core x86 host).
+# Below these many values math.fsum, at about 28 ns a value, is faster than
+# the numpy passes (warm calls, medians of interleaved runs on one CPU of a
+# 2-core x86 host).  One level whose sigma comes from a stated bound takes
+# about 5.3 us a call plus 1.5 ns a value: the two meet near 230 values
+# (0.89 of math.fsum's time at 256, 1.03 at 224, 1.16 at 192).  A sum with
+# no stated bound first finds its largest value, and one that cancels, as a
+# clearing residual does, takes two levels: 10.6 us a call with a stated
+# bound, 14 us without, so math.fsum wins below about 512 values (at 384,
+# 12-15 us against 9; at 768, 12-16 against 21).
+_FSUM_MIN_BOUNDED = 256
 _FSUM_MIN_EXTRACT = 512
 # Each level leaves remainders about 2^53 / n times smaller than the
 # last; few sums need more than two.
 _LEVELS = 4
-# Above this many values :func:`_fsum` extracts block by block through two
-# buffers of a block (256 KB), not through new arrays as long as the values
+# Above this many values :func:`_fsum` extracts block by block through a
+# (2, block) buffer (256 KB), not through new arrays as long as the values
 # (800 KB each at 10^5, on fresh pages).  Cold calls (a reference kernel run
 # before each, median of 31) at 10^5 positive values: whole arrays 203 us,
 # blocks of 8,192 values 233, of 16,384 196, of 32,768 185 with twice the
 # buffers; at 2 * 10^4 values two blocks of 16,384 take 52 us against 43
 # for one array.  A sum that cancels takes each block's remainders again at
-# every level: three levels at 10^5 take 0.90 ms against 0.52.
+# every level, but each level's sigma comes from the last level's bound, not
+# from another pass over the blocks: the exposures of 10^5 investors at their
+# clearing price (three levels) take 0.95 ms, 0.90 with the bound stated,
+# against 1.35 ms with that pass (cold calls as above, in one run).
 _BLOCK = 16384
 
 
@@ -91,70 +106,135 @@ def _pairwise_sum(values):
     return total
 
 
-def _remainders(blocks, sigmas):
-    """The remainders of each of ``blocks``, ``(values, high, low)``, once a
-    high part is taken off at each of ``sigmas`` in turn: the high parts go
-    to the buffer ``high`` and the remainders to ``low``.  Yields the
-    remainders with the block's buffers."""
+def _split(values, sigma, out):
+    """One extraction level: the high parts of ``values`` at ``sigma``, a
+    0-d array, into ``out[0]`` and their exact remainders into ``out[1]``;
+    ``out`` has a first axis of 2 before the values' shape, and the
+    values may be ``out[1]`` itself.  Returns ``out``."""
     import numpy as np
-    for r, high, low in blocks:
-        for sigma in sigmas:
-            q = np.add(r, sigma, out=high)
-            q -= sigma
-            r = np.subtract(r, q, out=low)
-        yield r, high, low
+    q = np.add(values, sigma, out=out[0])
+    q -= sigma
+    np.subtract(values, q, out=out[1])
+    return out
 
 
-def _fsum(values):
+def _exponent(top, n):
+    """k of sigma = 2^k > (n + 1) 2^top for n values of at most 2^top in
+    size: the high parts q are multiples of sigma 2^-53 and every partial
+    sum of them is below sigma, so numpy adds them exactly, block by block
+    and in any order; each remainder r - q is exact and at most sigma 2^-53."""
+    return top + (n + 1).bit_length()
+
+
+def _bound(n, k):
+    """A bound on the error of a float sum, in any order, of at most n
+    remainders of one level at sigma = 2^k."""
+    # a float sum of n terms errs by at most (n - 1) 2^-53 / (1 - (n - 1) 2^-53)
+    # times the sum of their sizes, here at most n sigma 2^-53: in all, below
+    # n^2 sigma 2^-105
+    return math.ldexp(n * n, k - 105)
+
+
+def _certified(parts, s, e):
+    """The sum of the exact ``parts`` and of remainders whose float sum is
+    ``s``, within ``e`` of theirs, exactly rounded; or None when that leaves
+    two roundings open."""
+    low = math.fsum([*parts, s, -e])
+    return low if low == math.fsum([*parts, s, e]) else None  # rounding is monotone
+
+
+def _remainders(r, sigmas, out):
+    """``r`` with a high part taken off at each of ``sigmas`` in turn,
+    through ``out`` as in :func:`_split`."""
+    for sigma in sigmas:
+        r = _split(r, sigma, out)[1]
+    return r
+
+
+class _Extraction:
+    """One extraction level over the rows of a 2-D array of n columns whose
+    every value is at most 2^top in size, from which :meth:`sums` reads the
+    exactly rounded sums of runs of columns in each row.  Below
+    ``_FSUM_MIN_BOUNDED`` columns ``math.fsum`` takes each run instead."""
+
+    def __init__(self, rows, top):
+        self.rows, self.top, self.n, self.split = rows, top, rows.shape[1], None
+        if self.n >= _FSUM_MIN_BOUNDED:
+            import numpy as np
+            k = _exponent(top, self.n)  # a run of fewer columns keeps k and e
+            self.e = _bound(self.n, k)
+            self.split = _split(rows, np.array(math.ldexp(1.0, k)),
+                                np.empty((2, *rows.shape)))
+
+    def sums(self, cuts):
+        """Each row's sums over the columns from each of the increasing
+        ``cuts`` (the first 0, the last below n) to the next, the last to
+        the end, row by row: bit for bit ``math.fsum``, certified by the
+        bound on the remainders' sum, else taken by :func:`_fsum`."""
+        ends = (*cuts[1:], self.n)
+        if self.split is None:
+            return [math.fsum(memoryview(row[start:stop]))
+                    for row in self.rows for start, stop in zip(cuts, ends)]
+        import numpy as np
+        parts = np.add.reduceat(self.split, cuts, axis=-1)
+        highs, lows = parts.reshape(2, -1).tolist()
+        sums = []
+        for i, (part, s) in enumerate(zip(highs, lows)):
+            total = _certified([part], s, self.e)
+            if total is None:
+                row, j = divmod(i, len(cuts))
+                total = _fsum(self.rows[row, cuts[j]:ends[j]], self.top)
+            sums.append(total)
+        return sums
+
+
+def _fsum(values, top=None):
     """``math.fsum(values)`` for a 1-D float64 array, bit for bit: the same
-    value, the same signed zero, and the same NaN or exception."""
+    value, the same signed zero, and the same NaN or exception.  A caller
+    that knows every value is at most ``2**top`` in size passes ``top``;
+    the first level then takes its sigma from it, not from a pass over the
+    values for the largest."""
     n = len(values)
-    if n < _FSUM_MIN_EXTRACT:
+    if n < (_FSUM_MIN_EXTRACT if top is None else _FSUM_MIN_BOUNDED):
         return math.fsum(memoryview(values))
     import numpy as np
-    add, largest, smallest = np.add.reduce, np.maximum.reduce, np.minimum.reduce
-    # a single block keeps its remainders from one level to the next, in an
-    # array numpy makes as long as the values; more blocks share two buffers
-    # of a block, and each level takes their remainders again from the values
+    if top is None:
+        big = max(float(np.maximum.reduce(values)),
+                  -float(np.minimum.reduce(values)))  # NaN if any is
+        if not 0.0 < big < math.inf:  # all zeros, an inf or a NaN
+            return math.fsum(memoryview(values))
+        top = math.frexp(big)[1]
+    # a single block keeps its remainders from one level to the next in a
+    # (2, n) buffer; more blocks share one of a block, and each level takes
+    # their remainders again from the values
     if n <= _BLOCK:
-        blocks = [(values, None, None)]
+        blocks = [(values, np.empty((2, n)))]
     else:
-        highs, lows = np.empty((2, _BLOCK))
-        blocks = [(values[i:i + _BLOCK], highs[:n - i], lows[:n - i])
+        buffer = np.empty((2, _BLOCK))
+        blocks = [(values[i:i + _BLOCK], buffer[:, :n - i])
                   for i in range(0, n, _BLOCK)]
     sigmas, parts = [], []
-    big = max(float(largest(values)), -float(smallest(values)))  # NaN if any is
     for _ in range(_LEVELS):
-        if big == 0.0 and parts:  # no remainder: the parts are exact
-            return math.fsum(parts)
-        if not 0.0 < big < math.inf:  # all zeros, an inf or a NaN
+        k = _exponent(top, n)
+        if not -960 < k < 1024:  # sigma overflows, or the bound underflows
             break
-        # sigma > (n + 1) 2^e, 2^e >= max|r|: the high parts q are
-        # multiples of sigma 2^-53 and every partial sum of them is below
-        # sigma, so numpy adds them exactly, block by block and in any
-        # order; each remainder r - q is exact and at most sigma 2^-53
-        k = math.frexp(big)[1] + (n + 1).bit_length()
-        if not -960 < k < 1024:  # sigma overflows, or the bound below underflows
-            break
-        sigma = math.ldexp(1.0, k)
+        sigma = np.array(math.ldexp(1.0, k))  # numpy adds it converting no float
         part = s = 0.0
-        for r, high, _ in _remainders(blocks, sigmas) if sigmas else blocks:
-            q = np.add(r, sigma, out=high)
-            q -= sigma
-            part += float(add(q))
-            r = np.subtract(r, q, out=q)
-            s += float(add(r))
-        sigmas.append(sigma)
+        for r, out in blocks:
+            split = _split(_remainders(r, sigmas, out), sigma, out)
+            high, low = np.add.reduce(split, axis=1).tolist()
+            part += high
+            s += low
         parts.append(part)
-        # a float sum of n terms, in any order, errs by at most
-        # (n - 1) 2^-53 / (1 - (n - 1) 2^-53) times the sum of their sizes,
-        # here at most n sigma 2^-53: in all, below n^2 sigma 2^-105
-        e = math.ldexp(n * n, k - 105)
-        low = math.fsum(parts + [s, -e])
-        if low == math.fsum(parts + [s, e]):  # rounding is monotone
-            return low
+        total = _certified(parts, s, _bound(n, k))
+        if total is not None:
+            return total
         if len(blocks) == 1:
-            blocks[0], sigmas = (r, None, None), []
-        big = max(max(float(largest(r)), -float(smallest(r)))
-                  for r, _, _ in (_remainders(blocks, sigmas) if sigmas else blocks))
+            blocks = [(out[1], out)]
+        else:
+            sigmas.append(sigma)
+        if s == 0.0 and not any(_remainders(r, sigmas, out).any()
+                                for r, out in blocks):
+            return math.fsum(parts)  # no remainder: the parts are exact
+        top = k - 53  # every remainder is at most sigma 2^-53
     return math.fsum(memoryview(values))

@@ -8,35 +8,42 @@ belief: ``c (q - p) / (1 - p)`` for a belief at or above the price and
 exposure is therefore a quadratic in the price between two consecutive
 sorted beliefs, with coefficients given by prefix sums of capital and
 capital times belief.  :func:`clearing_price` sorts the beliefs and takes
-those sums once.  Totals give the default tolerance and the mean belief;
-prefix sums give the sign of exposure at both bracket ends, certified by an
-error bound (else summed exactly), and the segment where the quadratic
-changes sign, whose root is taken in closed form, without iteration.
+those sums once, with one error-free extraction of both rows (see
+:mod:`._exact`).  From that extraction come the totals, which give the
+default tolerance and the mean belief, and the segment's four coefficient
+sums.  Prefix sums give the sign of exposure at both bracket ends,
+certified by an error bound (else summed exactly), and the segment where
+the quadratic changes sign, whose root is taken in closed form, without
+iteration.
 
 A :class:`MarketPopulation` is two read-only arrays, capitals and beliefs;
 each :class:`Investor` is checked once, when the population is built.  It
 takes its unit then too, a power of two that puts the largest capital in
 [1, 2), and holds the capitals in it, so every sum runs on exact unit-scale
 bits whatever the capitals' range, and none rescales them again; every total
-is exactly rounded (bit for bit ``math.fsum``).
+is exactly rounded (bit for bit ``math.fsum``).  Each value summed is then
+below 2 in size (``_TOP``), so an exact sum takes its first extraction level
+from that bound, without a pass for the largest value.
 numpy is imported only by the functions that build or scan those arrays;
 the two-investor closed forms at the end run without it.
 
 What a solve of 300 investors with uniform beliefs costs, stage by stage
 (best of 5 runs of 2,000 calls, one CPU of a 2-core x86 host, Python 3.11,
-numpy 2.4): the sort and the running sums 14 us; the two totals 16 us; the
-exposure at the three bracket points 5 us; the segment and its root 32 us,
-about half of it the four coefficient sums; the mirrored running sums 6 us,
-when the root lies above one half; the fractions and the residual 11 us;
-the exposures as a tuple 6 us; 86 us in all.  The seven exact sums take
-about 45% of a solve (41 of 93 us in another run).  At 1,000 investors the
-solve takes 177 us, 66 of them in the segment.
+numpy 2.4): the sort, the running sums and their extraction 16 us; the two
+totals 5 us; the exposure at the three bracket points 5 us; the segment
+and its root 22 us, 6 of them the four coefficient sums; the mirrored
+running sums and their extraction 13 us, when the root lies above one
+half; the fractions and the residual 13 us; the exposures as a tuple 6 us;
+95 us in all, against 100 us in the same run when each of the seven sums
+was its own ``math.fsum`` or extraction (the totals took 22 us and the
+segment 35).  At 1,000 investors the solve takes 155 us against 230, 25 of
+them in the segment against 67.
 """
 
 import math
 from dataclasses import dataclass, field
 
-from ._exact import _fsum
+from ._exact import _Extraction, _fsum
 from ._validation import check_positive, check_probability
 from .kelly import _kelly_fraction, optimal_fraction
 
@@ -58,6 +65,10 @@ __all__ = [
 # Price bracket: prices never reach the endpoints (odds diverge there).
 _PRICE_LO = 1e-9
 _PRICE_HI = 1.0 - 1e-9
+# Every value clearing sums is at most 2^_TOP in size: unit capitals lie in
+# [0, 2), beliefs in [0, 1] and Kelly fractions in [-1, 1], so each of c,
+# c q and c f is below 2, and an exact sum need not look for the largest.
+_TOP = 1
 
 
 class NoInteriorClearing(ValueError):
@@ -130,7 +141,8 @@ class MarketPopulation:
 
     @property
     def total_capital(self):
-        return _in_dollars(_fsum(self._unit_capitals), self._unit, "total capital")
+        return _in_dollars(_fsum(self._unit_capitals, _TOP), self._unit,
+                           "total capital")
 
     def scaled(self, factor):
         """Every capital multiplied by ``factor``; beliefs unchanged."""
@@ -173,7 +185,7 @@ def signed_exposure(inv, p):
 
 def _aggregate(capitals, beliefs, p):
     import numpy as np
-    return _fsum(capitals * _kelly_fraction(beliefs, p, np.where))
+    return _fsum(capitals * _kelly_fraction(beliefs, p, np.where), _TOP)
 
 
 def aggregate_exposure(pop, p):
@@ -183,32 +195,39 @@ def aggregate_exposure(pop, p):
                        "aggregate exposure")
 
 
-def _totals(capitals, weighted, lowest, highest):
-    """Exactly rounded sums of capital and capital times belief, and the mean
-    belief, kept between the extreme beliefs as the exact mean is."""
-    total, weighted = _fsum(capitals), _fsum(weighted)
-    return total, weighted, min(max(weighted / total, lowest), highest)
+def _mean(total, weighted, lowest, highest):
+    """The mean belief from the exactly rounded sums of capital and capital
+    times belief, kept between the extreme beliefs as the exact mean is."""
+    return min(max(weighted / total, lowest), highest)
 
 
 def mean_belief(pop):
     """Capital-weighted average belief, in [0, 1]; a belief every investor
     holds is returned exactly."""
     capitals, beliefs = pop._unit_capitals, pop.beliefs
-    return _totals(capitals, capitals * beliefs,
-                   float(beliefs.min()), float(beliefs.max()))[2]
+    return _mean(_fsum(capitals, _TOP), _fsum(capitals * beliefs, _TOP),
+                 float(beliefs.min()), float(beliefs.max()))
 
 
-def _running_sums(c, q):
-    """``c``, ``q``, ``c * q`` and the running sums of ``c`` and ``c * q``."""
-    cq = c * q
-    return c, q, cq, c.cumsum(), cq.cumsum()
+def _running_sums(capitals, order, q):
+    """The market of ``capitals`` taken in ``order`` and the sorted beliefs
+    ``q``: ``c``, ``q``, ``c * q``, the running sums of ``c`` and ``c * q``,
+    and one :class:`_Extraction` of ``c`` and ``c * q``, the two rows of one
+    array."""
+    import numpy as np
+    rows = np.empty((2, len(q)))
+    c = capitals.take(order, out=rows[0], mode="clip")
+    cq = np.multiply(c, q, out=rows[1])
+    # each row is added in the order of its own 1-D cumsum, with its bits
+    running = rows.cumsum(axis=1)
+    return c, q, cq, running[0], running[1], _Extraction(rows, _TOP)
 
 
 def _end_exposure(sums, total, weighted, p):
     """Aggregate exposure at the bracket end ``p``, or a number of its sign:
     ``(B - p A) / (1 - p) + (D - p C) / p`` (see :func:`_segment_root`) from
     the running sums, or the exact sum if that is within its error bound of 0."""
-    c, q, _, sum_c, sum_cq = sums
+    c, q, _, sum_c, sum_cq, _ = sums
     n, d = len(q), 1.0 - p
     k = int(q.searchsorted(p))  # q[:k] < p <= q[k:]
     lo_c, lo_cq = (sum_c.item(k - 1), sum_cq.item(k - 1)) if k else (0.0, 0.0)
@@ -221,7 +240,7 @@ def _end_exposure(sums, total, weighted, p):
     return estimate if abs(estimate) > bound else _aggregate(c, q, p)
 
 
-def _segment_root(c, q, cq, sum_c, sum_cq):
+def _segment_root(c, q, cq, sum_c, sum_cq, extraction):
     """The price in (_PRICE_LO, _PRICE_HI) where aggregate exposure, positive
     at the lower end and negative at the upper, is zero; from :func:`_running_sums`.
 
@@ -251,7 +270,10 @@ def _segment_root(c, q, cq, sum_c, sum_cq):
     # the investors below the segment are those below its upper end
     m = int(q.searchsorted(upper, side="left"))
     lower = q.item(m - 1) if m > first else _PRICE_LO
-    lo_c, hi_c, lo_cq, hi_cq = (_fsum(x) for x in (c[:m], c[m:], cq[:m], cq[m:]))
+    # every sum of one extraction, unless no investor is below or above
+    lo_c, hi_c, lo_cq, hi_cq = (
+        extraction.sums((0, m)) if 0 < m < len(q) else
+        (_fsum(x, _TOP) for x in (c[:m], c[m:], cq[:m], cq[m:])))
     return _quadratic_root(math.fsum((lo_c, -hi_c)),
                            math.fsum((hi_cq, -lo_c, -lo_cq)), lo_cq,
                            lower, upper)
@@ -287,10 +309,11 @@ def clearing_price(pop, tol=None):
     import numpy as np
     capitals, unit, beliefs = pop._unit_capitals, pop._unit, pop.beliefs
     order = beliefs.argsort()
-    sums = _running_sums(capitals[order], beliefs[order])
-    c, q, cq = sums[:3]
+    sums = _running_sums(capitals, order, beliefs[order])
+    c, q, _, _, _, extraction = sums
     lowest, highest = q.item(0), q.item(-1)
-    total, weighted, mb = _totals(c, cq, lowest, highest)
+    total, weighted = extraction.sums((0,))
+    mb = _mean(total, weighted, lowest, highest)
     # the residual's rounding grows with the capital, so the default does
     tol = 1e-9 * total if tol is None else check_positive(tol, "tol") / unit
     if lowest == highest:
@@ -318,13 +341,17 @@ def clearing_price(pop, tol=None):
     elif _end_exposure(sums, total, weighted, 0.5) > 0.0:
         # a root above one half is 1 - the root of the mirrored market (beliefs
         # 1 - q), as precise as a root near 0; the sign at one half picks it
-        price = 1.0 - _segment_root(*_running_sums(c[::-1], 1.0 - q[::-1]))
+        price = 1.0 - _segment_root(*_running_sums(capitals, order[::-1],
+                                                  1.0 - q[::-1]))
     else:
         price = _segment_root(*sums)
 
     fractions = _kelly_fraction(beliefs, price, np.where)
     # the residual is summed in the unit, where no capital overflows; the
-    # exposures are taken in dollars, where none underflows to 0
+    # exposures are taken in dollars, where none underflows to 0.  The
+    # residual cancels, so an exact sum of it takes two extraction levels,
+    # which beat math.fsum only from _FSUM_MIN_EXTRACT values: it states no
+    # bound, and so keeps math.fsum below that
     residual = _fsum(capitals * fractions)
     if abs(residual) > tol:
         raise ValueError(

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from kellymarket import clearing
+from kellymarket import _exact, clearing
 from kellymarket.clearing import (
     Investor,
     MarketPopulation,
@@ -24,8 +24,9 @@ from kellymarket.clearing import (
     mean_belief_confident_yes,
     signed_exposure,
 )
+from kellymarket._exact import _FSUM_MIN_BOUNDED
 from kellymarket.clearing import _quadratic_root
-from kellymarket.kelly import optimal_fraction
+from kellymarket.kelly import _kelly_fraction, optimal_fraction
 
 from oracles import (
     bisection_clearing_price,
@@ -649,28 +650,39 @@ class TestSinglePass:
             _outcome(multi_pass_clearing_price, market, None)
 
     def test_reads_an_interior_market_in_one_pass(self, monkeypatch):
-        # beliefs inside the bracket: the prefix sums settle both ends
-        rng = np.random.default_rng(7)
-        n = 200
-        market = pop(*zip(rng.pareto(1.5, n) + 1.0, rng.uniform(0.01, 0.99, n)))
-        want = clearing_price(market)
-        fsum, lengths = math.fsum, []
-
-        def counted(values):
-            lengths.append(len(values))
-            return fsum(values)
-
+        # beliefs inside the bracket: the prefix sums settle both ends.  The
+        # values each exact sum reads are counted where clearing hands them
+        # to the exact-sum layer, math.fsum below the crossover or one
+        # extraction of both rows above it
         def refused(*args):
             raise AssertionError("a second pass over the population")
 
-        monkeypatch.setattr(clearing, "_aggregate", refused)
-        monkeypatch.setattr(clearing, "mean_belief", refused)
-        monkeypatch.setattr(math, "fsum", counted)
-        assert clearing_price(market) == want
-        # the two totals and the residual over all n, and the four
-        # coefficient sums split at the root's segment: 5n values in all
-        assert lengths.count(n) <= 5
-        assert sum(length for length in lengths if length > 3) == 5 * n
+        fsum, sums = clearing._fsum, _exact._Extraction.sums
+        for n in (200, 1000):
+            rng = np.random.default_rng(7)
+            market = pop(*zip(rng.pareto(1.5, n) + 1.0, rng.uniform(0.01, 0.99, n)))
+            want, lengths = clearing_price(market), []
+
+            def counted_fsum(values, *top):
+                lengths.append(len(values))
+                return fsum(values, *top)
+
+            def counted_sums(extraction, cuts):
+                ends = (*cuts[1:], extraction.n)
+                lengths.extend(stop - start for _ in extraction.rows
+                               for start, stop in zip(cuts, ends))
+                return sums(extraction, cuts)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(clearing, "_aggregate", refused)
+                patch.setattr(clearing, "mean_belief", refused)
+                patch.setattr(clearing, "_fsum", counted_fsum)
+                patch.setattr(_exact._Extraction, "sums", counted_sums)
+                assert clearing_price(market) == want
+            # the two totals and the residual over all n, and the four
+            # coefficient sums split at the root's segment: 5n values in all
+            assert lengths.count(n) <= 5
+            assert sum(lengths) == 5 * n
 
     @pytest.mark.parametrize("n", [100, 300, 511, 512, 1000, 3000, 10_000])
     def test_matches_the_multi_pass_solver_at_workload_sizes(self, n):
@@ -717,6 +729,60 @@ def _sized_markets(rng, n):
                            "certain": rng.integers(0, 2, n).astype(float)}[mix]
             for scale in (1.0, 1e300, 1e-300):
                 yield capitals * scale, beliefs
+
+
+@pytest.mark.parametrize("n", [100, _FSUM_MIN_BOUNDED, 300, 1000])
+def test_demand_curves_are_exactly_rounded_at_workload_sizes(n):
+    # the benchmark's 50 curve prices; from the crossover on each sum takes
+    # its first extraction level from the bound on the unit capitals
+    prices = np.linspace(0.02, 0.98, 50).tolist()
+    for capitals, beliefs in _sized_markets(np.random.default_rng(n), n):
+        market = pop(*zip(capitals.tolist(), beliefs.tolist()))
+        e = math.frexp(capitals.max())[1]
+        units, unit = np.ldexp(capitals, 1 - e), math.ldexp(1.0, e - 1)
+        for p in prices:
+            fractions = (beliefs - p) / np.where(beliefs >= p, 1.0 - p, p)
+            want = math.fsum(units * fractions) * unit
+            assert aggregate_exposure(market, p).hex() == want.hex(), (n, p)
+
+
+def _bound_markets():
+    """Populations built, scaled by 1e300 and 1e-300, copied and pickled."""
+    rng = np.random.default_rng(30)
+    built = [pop(*zip((rng.pareto(1.5, 40) + 1.0).tolist(),
+                      rng.uniform(0.0, 1.0, 40).tolist())),
+             pop((1.0, 0.0), (1.0, 1.0)),
+             pop((float(np.nextafter(2.0, 0.0)), 0.5), (3.0, 0.25), (0.1, 1.0))]
+    for market in built:
+        for scaled in (market, market.scaled(1e300), market.scaled(1e-300)):
+            yield scaled
+            yield copy.copy(scaled)
+            yield copy.deepcopy(scaled)
+            yield pickle.loads(pickle.dumps(scaled))
+
+
+class TestUnitBound:
+    # the exact sums take every value clearing sums to be below 2^_TOP = 2
+    bound = 2.0 ** clearing._TOP
+
+    def test_unit_capitals_lie_below_two(self):
+        for market in _bound_markets():
+            units = market._unit_capitals
+            assert 0.0 < units.min() and 1.0 <= units.max() < self.bound == 2.0
+
+    def test_summands_lie_below_two(self):
+        prices = [clearing._PRICE_LO, float(np.nextafter(clearing._PRICE_LO, 1.0)),
+                  0.5, float(np.nextafter(clearing._PRICE_HI, 0.0)), clearing._PRICE_HI]
+        for market in _bound_markets():
+            units, n = market._unit_capitals, len(market.beliefs)
+            # the beliefs, their mirror 1 - q, and beliefs 0 and 1
+            for beliefs in (market.beliefs, 1.0 - market.beliefs,
+                            np.zeros(n), np.ones(n)):
+                assert np.all(np.abs(units * beliefs) < self.bound)
+                for p in prices:
+                    fractions = _kelly_fraction(beliefs, p, np.where)
+                    assert np.all(np.abs(fractions) <= 1.0)
+                    assert np.all(np.abs(units * fractions) < self.bound), p
 
 
 def test_sums_of_a_hundred_thousand_investors_are_exactly_rounded():

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from kellymarket import _exact
 from kellymarket._exact import _BLOCK, _FSUM_MIN_EXTRACT, _fsum, _pairwise_sum
+from kellymarket._exact import _FSUM_MIN_BOUNDED, _Extraction
 
 SIZES = (_FSUM_MIN_EXTRACT - 1, _FSUM_MIN_EXTRACT, _FSUM_MIN_EXTRACT + 1,
          1000, 4097)
@@ -198,3 +199,104 @@ def test_pairwise_sum_adds_in_numpys_order(seed):
     for n in range(1, 129):
         values = np.ldexp(rng.uniform(-1.0, 1.0, n), rng.integers(-40, 41, n))
         assert _pairwise_sum(values.tolist()).hex() == np.add.reduce(values).hex(), n
+
+
+# Sums whose every value is below 2 in size, as clearing's are, state that
+# bound (top = 1) in place of a pass for the largest value.
+BOUNDED_SIZES = (_FSUM_MIN_BOUNDED - 1, _FSUM_MIN_BOUNDED, _FSUM_MIN_BOUNDED + 1,
+                 1000, *BLOCK_EDGES)
+BELOW_TWO = np.nextafter(2.0, 0.0)
+
+
+def bounded(seed, n, kind):
+    """n seeded values below 2 in size: unit capitals (the largest in
+    [1, 2)), mixed signs, values with their negatives (sum exactly 0), the
+    same cancelling to a subnormal, all -0.0, +-(2 - ulp) with a few small
+    values, or values in [1, 2)."""
+    rng = np.random.default_rng(seed)
+    pareto = rng.pareto(1.5, n) + 1.0
+    capitals = np.ldexp(pareto, 1 - math.frexp(pareto.max())[1])
+    if kind == "capitals":
+        return capitals
+    if kind == "mixed":
+        return capitals * rng.uniform(-1.0, 1.0, n)
+    if kind == "negative zeros":
+        return np.full(n, -0.0)
+    if kind == "top":
+        values = rng.choice([-BELOW_TWO, BELOW_TWO], n)
+        values[: n // 3] = rng.uniform(-1e-20, 1e-20, n // 3)
+        return values
+    if kind == "near two":  # one sign: the high parts' sums come near sigma
+        return rng.uniform(1.0, 2.0, n)
+    half = capitals[: n // 2] * rng.choice([-1.0, 1.0], n // 2)
+    values = np.concatenate([half, -half, np.zeros(n % 2)])
+    if kind == "to a subnormal":
+        values[-1] = rng.choice([-5e-324, 3e-320, -2.5e-310])
+    return rng.permutation(values)
+
+
+BOUNDED_KINDS = ("capitals", "mixed", "to zero", "to a subnormal",
+                 "negative zeros", "top", "near two")
+
+
+@pytest.mark.parametrize("kind", BOUNDED_KINDS)
+@pytest.mark.parametrize("n", BOUNDED_SIZES)
+def test_bounded_sum_matches_fsum(n, kind):
+    for seed in range(3):
+        values = bounded(seed, n, kind)
+        for view in (values, values[::-1], values[1:-1], values[::2], values[::-3]):
+            got = outcome(lambda v: _fsum(v, 1), view)
+            assert got == outcome(math.fsum, view), (kind, len(view))
+
+
+@pytest.mark.parametrize("tail", [
+    [1.0, 2.0 ** -53],                       # a tie, rounded to even: 1
+    [1.0, 3 * 2.0 ** -53],                   # a tie, rounded to even: 1 + 2^-51
+    [1.0, 2.0 ** -53, 2.0 ** -300],          # just past a tie: 1 + 2^-52
+    [1.0, 2.0 ** -53, -(2.0 ** -300)],       # just short of a tie: 1
+    [1.0, 2.0 ** -54, 2.0 ** -54, 2.0 ** -1074],
+    [2.0 ** -1022, 2.0 ** -1074, -(2.0 ** -1070)],  # subnormal sums
+    [1e-310, -3e-320, 2.5e-308],
+])
+@pytest.mark.parametrize("n", [_FSUM_MIN_BOUNDED, 1000, _BLOCK + 1])
+def test_bounded_sum_matches_fsum_at_ties(tail, n):
+    # the tail among values below 2 and their negatives, in seeded order;
+    # half of those lie far below 2, so that numpy's sum of the remainders
+    # rounds and only the error bound keeps a tie from being certified
+    for seed in range(4):
+        rng = np.random.default_rng([seed, len(tail)])
+        half = (n - len(tail)) // 2
+        others = np.ldexp(rng.uniform(-1.0, 1.0, half), rng.integers(-90, 2, half))
+        values = rng.permutation(np.concatenate([others, -others, tail]))
+        for view in (values, values[::-1]):
+            assert _fsum(view, 1).hex() == math.fsum(view).hex(), (seed, tail)
+
+
+@pytest.mark.parametrize("kind", ["capitals", "mixed", "top"])
+def test_bounded_sum_certifies_without_math_fsum_over_the_values(kind, monkeypatch):
+    # the stated bound sets the first level; only the parts go to math.fsum
+    fsum, lengths = math.fsum, []
+
+    def counted(values):
+        values = list(values)
+        lengths.append(len(values))
+        return fsum(values)
+
+    monkeypatch.setattr(math, "fsum", counted)
+    for n in (_FSUM_MIN_BOUNDED, 1000, _BLOCK + 1):
+        values = bounded(4, n, kind)
+        assert _fsum(values, 1) == fsum(values)
+    assert lengths and max(lengths) <= _exact._LEVELS + 2
+
+
+@pytest.mark.parametrize("kind", BOUNDED_KINDS)
+@pytest.mark.parametrize("n", [2, _FSUM_MIN_BOUNDED - 1, _FSUM_MIN_BOUNDED, 1000])
+def test_extraction_sums_match_fsum(n, kind):
+    # the sums of runs of columns that one extraction of two rows gives,
+    # certified or taken again, and below the crossover math.fsum's own
+    rows = np.stack([bounded(n, n, "capitals"), bounded(n + 1, n, kind)])
+    extraction = _Extraction(rows, 1)
+    for cuts in [(0,)] + [(0, m) for m in sorted({1, n // 3, n - 1}) if 0 < m < n]:
+        ends = (*cuts[1:], n)
+        want = [math.fsum(row[a:b]).hex() for row in rows for a, b in zip(cuts, ends)]
+        assert [x.hex() for x in extraction.sums(cuts)] == want, (kind, cuts)
