@@ -21,16 +21,17 @@ columns from it.
 
 import math
 
-# Below these many values math.fsum, at about 28 ns a value, is faster than
+# Below these many values math.fsum, at 23 to 28 ns a value, is faster than
 # the numpy passes (warm calls, medians of interleaved runs on one CPU of a
 # 2-core x86 host).  One level whose sigma comes from a stated bound takes
-# about 5.3 us a call plus 1.5 ns a value: the two meet near 230 values
-# (0.89 of math.fsum's time at 256, 1.03 at 224, 1.16 at 192).  A sum with
-# no stated bound first finds its largest value, and one that cancels, as a
-# clearing residual does, takes two levels: 10.6 us a call with a stated
-# bound, 14 us without, so math.fsum wins below about 512 values (at 384,
-# 12-15 us against 9; at 768, 12-16 against 21).
-_FSUM_MIN_BOUNDED = 256
+# about 4 us a call plus 1.3 ns a value: the two meet near 200 values (0.80
+# to 0.85 of math.fsum's time at 224 and 256, 0.96 to 0.99 at 192 and 208,
+# 1.03 to 1.17 at 160 and 176).  A sum with no stated bound first finds its
+# largest value, and one that cancels, as a clearing residual does, takes two
+# levels: 10 to 11 us a call with a stated bound, 14 us without, so math.fsum
+# wins below about 450 values (at 384, 9 to 10 us against 8; at 640, 11
+# against 15).
+_FSUM_MIN_BOUNDED = 224
 _FSUM_MIN_EXTRACT = 512
 # Each level leaves remainders about 2^53 / n times smaller than the
 # last; few sums need more than two.
@@ -47,6 +48,8 @@ _LEVELS = 4
 # clearing price (three levels) take 0.95 ms, 0.90 with the bound stated,
 # against 1.35 ms with that pass (cold calls as above, in one run).
 _BLOCK = 16384
+# sigma = 2^k for each exponent k met so far (see _sigma)
+_SIGMAS = {}
 
 
 def _exact_product(count, x):
@@ -106,16 +109,26 @@ def _pairwise_sum(values):
     return total
 
 
-def _split(values, sigma, out):
-    """One extraction level: the high parts of ``values`` at ``sigma``, a
-    0-d array, into ``out[0]`` and their exact remainders into ``out[1]``;
-    ``out`` has a first axis of 2 before the values' shape, and the
-    values may be ``out[1]`` itself.  Returns ``out``."""
+def _sigma(k):
+    """sigma = 2^k as a 0-d array, which numpy adds converting no float;
+    built at its first use and shared by every later sum, so read-only."""
+    try:
+        return _SIGMAS[k]
+    except KeyError:
+        import numpy as np
+        sigma = np.array(math.ldexp(1.0, k))
+        sigma.flags.writeable = False
+        return _SIGMAS.setdefault(k, sigma)
+
+
+def _split(values, sigma, high, low):
+    """One extraction level: the high parts of ``values`` at ``sigma`` (see
+    :func:`_sigma`) into ``high`` and their exact remainders into ``low``,
+    which may be the values themselves.  Returns ``low``."""
     import numpy as np
-    q = np.add(values, sigma, out=out[0])
-    q -= sigma
-    np.subtract(values, q, out=out[1])
-    return out
+    np.add(values, sigma, out=high)
+    high -= sigma
+    return np.subtract(values, high, out=low)
 
 
 def _exponent(top, n):
@@ -143,14 +156,6 @@ def _certified(parts, s, e):
     return low if low == math.fsum([*parts, s, e]) else None  # rounding is monotone
 
 
-def _remainders(r, sigmas, out):
-    """``r`` with a high part taken off at each of ``sigmas`` in turn,
-    through ``out`` as in :func:`_split`."""
-    for sigma in sigmas:
-        r = _split(r, sigma, out)[1]
-    return r
-
-
 class _Extraction:
     """One extraction level over the rows of a 2-D array of n columns whose
     every value is at most 2^top in size, from which :meth:`sums` reads the
@@ -163,8 +168,8 @@ class _Extraction:
             import numpy as np
             k = _exponent(top, self.n)  # a run of fewer columns keeps k and e
             self.e = _bound(self.n, k)
-            self.split = _split(rows, np.array(math.ldexp(1.0, k)),
-                                np.empty((2, *rows.shape)))
+            self.split = split = np.empty((2, *rows.shape))
+            _split(rows, _sigma(k), split[0], split[1])
 
     def sums(self, cuts):
         """Each row's sums over the columns from each of the increasing
@@ -204,37 +209,42 @@ def _fsum(values, top=None):
         if not 0.0 < big < math.inf:  # all zeros, an inf or a NaN
             return math.fsum(memoryview(values))
         top = math.frexp(big)[1]
-    # a single block keeps its remainders from one level to the next in a
-    # (2, n) buffer; more blocks share one of a block, and each level takes
-    # their remainders again from the values
-    if n <= _BLOCK:
-        blocks = [(values, np.empty((2, n)))]
-    else:
-        buffer = np.empty((2, _BLOCK))
-        blocks = [(values[i:i + _BLOCK], buffer[:, :n - i])
-                  for i in range(0, n, _BLOCK)]
-    sigmas, parts = [], []
-    for _ in range(_LEVELS):
-        k = _exponent(top, n)
-        if not -960 < k < 1024:  # sigma overflows, or the bound underflows
-            break
-        sigma = np.array(math.ldexp(1.0, k))  # numpy adds it converting no float
-        part = s = 0.0
-        for r, out in blocks:
-            split = _split(_remainders(r, sigmas, out), sigma, out)
-            high, low = np.add.reduce(split, axis=1).tolist()
-            part += high
-            s += low
+    # a (2, n) buffer takes the high parts and remainders of one block, and
+    # keeps its remainders from one level to the next, so that the first
+    # level runs straight through and a later one goes on from the last.  More
+    # blocks share one of a block, and each level takes their remainders
+    # again from the values, at every sigma so far
+    buffer = np.empty((2, n if n <= _BLOCK else _BLOCK))
+    high, low = buffer[0], buffer[1]
+    r, sigmas, parts = values, [], []
+    k = _exponent(top, n)
+    while -960 < k < 1024:  # else sigma overflows, or the bound underflows
+        sigma = _sigma(k)
+        if n <= _BLOCK:  # _split inline, whose call adds a twentieth to a sum
+            np.add(r, sigma, out=high)
+            high -= sigma
+            r = np.subtract(r, high, out=low)
+            part, s = np.add.reduce(buffer, axis=1).tolist()
+            exact = not s and not r.any()  # no remainder is left
+        else:
+            sigmas.append(sigma)
+            part = s = 0.0
+            exact = True
+            for i in range(0, n, _BLOCK):
+                r, out = values[i:i + _BLOCK], buffer[:, :n - i]
+                for each in sigmas:
+                    r = _split(r, each, out[0], out[1])
+                block_part, block_s = np.add.reduce(out, axis=1).tolist()
+                part += block_part
+                s += block_s
+                exact = exact and not block_s and not r.any()
         parts.append(part)
         total = _certified(parts, s, _bound(n, k))
         if total is not None:
             return total
-        if len(blocks) == 1:
-            blocks = [(out[1], out)]
-        else:
-            sigmas.append(sigma)
-        if s == 0.0 and not any(_remainders(r, sigmas, out).any()
-                                for r, out in blocks):
-            return math.fsum(parts)  # no remainder: the parts are exact
-        top = k - 53  # every remainder is at most sigma 2^-53
+        if exact:
+            return math.fsum(parts)  # the parts are exact
+        if len(parts) == _LEVELS:
+            break
+        k = _exponent(k - 53, n)  # every remainder is at most sigma 2^-53
     return math.fsum(memoryview(values))

@@ -30,20 +30,19 @@ the two-investor closed forms at the end run without it.
 What a solve of 300 investors with uniform beliefs costs, stage by stage
 (best of 5 runs of 2,000 calls, one CPU of a 2-core x86 host, Python 3.11,
 numpy 2.4): the sort, the running sums and their extraction 16 us; the two
-totals 5 us; the exposure at the three bracket points 5 us; the segment
-and its root 22 us, 6 of them the four coefficient sums; the mirrored
-running sums and their extraction 13 us, when the root lies above one
-half; the fractions and the residual 13 us; the exposures as a tuple 6 us;
-95 us in all, against 100 us in the same run when each of the seven sums
-was its own ``math.fsum`` or extraction (the totals took 22 us and the
-segment 35).  At 1,000 investors the solve takes 155 us against 230, 25 of
-them in the segment against 67.
+totals 4 us; the exposure at the three bracket points 4 us; the segment and
+its root 18 us, 4.5 of them the four coefficient sums; the mirrored running
+sums and their extraction 10 us, when the root lies above one half; the
+fractions and the residual 10 us; the exposures as a tuple 5 us; 62 us in
+all, 75 with the mirror.  At 1,000 investors the solve takes 101 us (124
+with the mirror), 21 of them in the segment and 17 in the fractions and the
+residual, whose exact sum states its bound from _FSUM_MIN_EXTRACT values.
 """
 
 import math
 from dataclasses import dataclass, field
 
-from ._exact import _Extraction, _fsum
+from ._exact import _FSUM_MIN_EXTRACT, _Extraction, _fsum
 from ._validation import check_positive, check_probability
 from .kelly import _kelly_fraction, optimal_fraction
 
@@ -185,7 +184,9 @@ def signed_exposure(inv, p):
 
 def _aggregate(capitals, beliefs, p):
     import numpy as np
-    return _fsum(capitals * _kelly_fraction(beliefs, p, np.where), _TOP)
+    exposures = _kelly_fraction(beliefs, p, np.where)
+    exposures *= capitals
+    return _fsum(exposures, _TOP)
 
 
 def aggregate_exposure(pop, p):
@@ -350,9 +351,10 @@ def clearing_price(pop, tol=None):
     # the residual is summed in the unit, where no capital overflows; the
     # exposures are taken in dollars, where none underflows to 0.  The
     # residual cancels, so an exact sum of it takes two extraction levels,
-    # which beat math.fsum only from _FSUM_MIN_EXTRACT values: it states no
-    # bound, and so keeps math.fsum below that
-    residual = _fsum(capitals * fractions)
+    # which beat math.fsum only from _FSUM_MIN_EXTRACT values: from there it
+    # states the bound, and below it states none, which keeps math.fsum
+    residual = _fsum(capitals * fractions,
+                     _TOP if len(fractions) >= _FSUM_MIN_EXTRACT else None)
     if abs(residual) > tol:
         raise ValueError(
             f"clearing residual {residual * unit:.3g} exceeds tolerance "

@@ -79,8 +79,11 @@ def log_utility(q, p, f):
 
 def _kelly_fraction(q, p, where=lambda long, a, b: a if long else b):
     """:func:`optimal_fraction` without its checks; with ``where=np.where``
-    ``q`` may be an array of beliefs."""
-    return (q - p) / where(q >= p, 1.0 - p, p)
+    ``q`` may be an array of beliefs, whose fractions are formed in one new
+    array."""
+    f = q - p
+    f /= where(q >= p, 1.0 - p, p)
+    return f
 
 
 def optimal_fraction(q, p):

@@ -24,7 +24,7 @@ from kellymarket.clearing import (
     mean_belief_confident_yes,
     signed_exposure,
 )
-from kellymarket._exact import _FSUM_MIN_BOUNDED
+from kellymarket._exact import _BLOCK, _FSUM_MIN_BOUNDED
 from kellymarket.clearing import _quadratic_root
 from kellymarket.kelly import _kelly_fraction, optimal_fraction
 
@@ -731,12 +731,19 @@ def _sized_markets(rng, n):
                 yield capitals * scale, beliefs
 
 
-@pytest.mark.parametrize("n", [100, _FSUM_MIN_BOUNDED, 300, 1000])
+@pytest.mark.parametrize("n", [100, _FSUM_MIN_BOUNDED - 1, _FSUM_MIN_BOUNDED, 300,
+                               1000, _BLOCK, _BLOCK + 1])
 def test_demand_curves_are_exactly_rounded_at_workload_sizes(n):
-    # the benchmark's 50 curve prices; from the crossover on each sum takes
-    # its first extraction level from the bound on the unit capitals
-    prices = np.linspace(0.02, 0.98, 50).tolist()
-    for capitals, beliefs in _sized_markets(np.random.default_rng(n), n):
+    # the benchmark's 50 curve prices, the bracket ends and the lowest price
+    # above it, and one half; from the crossover on each sum takes its first
+    # extraction level from the bound on the unit capitals, as one block up
+    # to _BLOCK values and block by block past it
+    lo, hi = clearing._PRICE_LO, clearing._PRICE_HI
+    prices = [lo, float(np.nextafter(lo, 1.0)), 0.5, hi,
+              *np.linspace(0.02, 0.98, 50).tolist()]
+    markets = list(_sized_markets(np.random.default_rng(n), n))
+    # at the block sizes every fourth market: each mix and shape, each scale
+    for capitals, beliefs in markets[::4] if n >= _BLOCK else markets:
         market = pop(*zip(capitals.tolist(), beliefs.tolist()))
         e = math.frexp(capitals.max())[1]
         units, unit = np.ldexp(capitals, 1 - e), math.ldexp(1.0, e - 1)

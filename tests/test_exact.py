@@ -300,3 +300,20 @@ def test_extraction_sums_match_fsum(n, kind):
         ends = (*cuts[1:], n)
         want = [math.fsum(row[a:b]).hex() for row in rows for a, b in zip(cuts, ends)]
         assert [x.hex() for x in extraction.sums(cuts)] == want, (kind, cuts)
+
+
+def test_cached_sigmas_are_read_only():
+    # every sum at one exponent shares its sigma: a write into it would move
+    # every later sum, so it is refused, and the sums are still math.fsum's
+    rows = np.stack([bounded(6, 1000, "mixed"), bounded(7, 1000, "capitals")])
+    k = _exact._exponent(1, 1000)  # the first level's of both sums below
+    sigma = _exact._sigma(k)
+    assert _exact._sigma(k) is sigma
+    try:
+        with pytest.raises(ValueError, match="read-only"):
+            sigma[...] = 3.0
+        assert _fsum(rows[0], 1).hex() == math.fsum(rows[0]).hex()
+        want = [math.fsum(row).hex() for row in rows]
+        assert [x.hex() for x in _Extraction(rows, 1).sums((0,))] == want
+    finally:
+        _exact._SIGMAS.pop(k)  # a sigma written into leaves with this test
