@@ -1,17 +1,17 @@
 """Arithmetic whose bits are pinned: exact products, Loader's deviance,
 numpy's summation order, and ``math.fsum`` of an array at numpy speed.
 
-Above a few hundred values :func:`_fsum` splits the array by error-free
-extraction (Rump, Ogita and Oishi, "Accurate floating-point summation
-part I: faithful rounding", SIAM J. Sci. Comput. 31(1), 2008): rounding
-each value to a multiple of a power of two fixed by a bound on the values
-and the count gives high parts that numpy sums exactly, in any order, and
-exact remainders.  Once an error bound on numpy's sum of the remainders
-shows that every value it allows rounds alike, that is the exactly rounded
-sum; otherwise the next level splits the remainders, whose size the last
-level bounds, and at the end, or for values whose extraction could
-overflow or lose bits, ``math.fsum`` decides.  A caller that knows a bound
-on its values states it; otherwise a pass finds the largest.  Above
+:func:`_fsum` and :class:`_Extraction` sum values below 2 in size
+(``_TOP``); a market's power-of-two unit keeps every value clearing sums
+there.  From ``_FSUM_MIN_EXTRACT`` values they split the array by
+error-free extraction (Rump, Ogita and Oishi, "Accurate floating-point
+summation part I: faithful rounding", SIAM J. Sci. Comput. 31(1), 2008):
+rounding each value to a multiple of a power of two fixed by that bound and
+the count gives high parts that numpy sums exactly, in any order, and exact
+remainders.  Once an error bound on numpy's sum of the remainders shows
+that every value it allows rounds alike, that is the exactly rounded sum;
+otherwise the next level splits the remainders, whose size the last level
+bounds, and after ``_LEVELS`` levels ``math.fsum`` decides.  Above
 ``_BLOCK`` values each level runs block by block through one buffer of a
 block, and takes each block's remainders again from the values, so no
 call allocates an array as long as its input.  :class:`_Extraction` runs
@@ -21,18 +21,14 @@ columns from it.
 
 import math
 
+# Every value summed is at most 2^_TOP in size.
+_TOP = 1
 # Below these many values math.fsum, at 23 to 28 ns a value, is faster than
 # the numpy passes (warm calls, medians of interleaved runs on one CPU of a
-# 2-core x86 host).  One level whose sigma comes from a stated bound takes
-# about 4 us a call plus 1.3 ns a value: the two meet near 200 values (0.80
-# to 0.85 of math.fsum's time at 224 and 256, 0.96 to 0.99 at 192 and 208,
-# 1.03 to 1.17 at 160 and 176).  A sum with no stated bound first finds its
-# largest value, and one that cancels, as a clearing residual does, takes two
-# levels: 10 to 11 us a call with a stated bound, 14 us without, so math.fsum
-# wins below about 450 values (at 384, 9 to 10 us against 8; at 640, 11
-# against 15).
-_FSUM_MIN_BOUNDED = 224
-_FSUM_MIN_EXTRACT = 512
+# 2-core x86 host).  One level takes about 4 us a call plus 1.3 ns a value:
+# the two meet near 200 values (0.80 to 0.85 of math.fsum's time at 224 and
+# 256, 0.96 to 0.99 at 192 and 208, 1.03 to 1.17 at 160 and 176).
+_FSUM_MIN_EXTRACT = 224
 # Each level leaves remainders about 2^53 / n times smaller than the
 # last; few sums need more than two.
 _LEVELS = 4
@@ -45,8 +41,8 @@ _LEVELS = 4
 # for one array.  A sum that cancels takes each block's remainders again at
 # every level, but each level's sigma comes from the last level's bound, not
 # from another pass over the blocks: the exposures of 10^5 investors at their
-# clearing price (three levels) take 0.95 ms, 0.90 with the bound stated,
-# against 1.35 ms with that pass (cold calls as above, in one run).
+# clearing price (three levels) take 0.90 ms, against 1.35 ms with that pass
+# (cold calls as above, in one run).
 _BLOCK = 16384
 # sigma = 2^k for each exponent k met so far (see _sigma)
 _SIGMAS = {}
@@ -157,16 +153,16 @@ def _certified(parts, s, e):
 
 
 class _Extraction:
-    """One extraction level over the rows of a 2-D array of n columns whose
-    every value is at most 2^top in size, from which :meth:`sums` reads the
-    exactly rounded sums of runs of columns in each row.  Below
-    ``_FSUM_MIN_BOUNDED`` columns ``math.fsum`` takes each run instead."""
+    """One extraction level over the rows of a 2-D array of n columns, from
+    which :meth:`sums` reads the exactly rounded sums of runs of columns in
+    each row.  Below ``_FSUM_MIN_EXTRACT`` columns ``math.fsum`` takes each
+    run instead."""
 
-    def __init__(self, rows, top):
-        self.rows, self.top, self.n, self.split = rows, top, rows.shape[1], None
-        if self.n >= _FSUM_MIN_BOUNDED:
+    def __init__(self, rows):
+        self.rows, self.n, self.split = rows, rows.shape[1], None
+        if self.n >= _FSUM_MIN_EXTRACT:
             import numpy as np
-            k = _exponent(top, self.n)  # a run of fewer columns keeps k and e
+            k = _exponent(_TOP, self.n)  # a run of fewer columns keeps k and e
             self.e = _bound(self.n, k)
             self.split = split = np.empty((2, *rows.shape))
             _split(rows, _sigma(k), split[0], split[1])
@@ -188,27 +184,18 @@ class _Extraction:
             total = _certified([part], s, self.e)
             if total is None:
                 row, j = divmod(i, len(cuts))
-                total = _fsum(self.rows[row, cuts[j]:ends[j]], self.top)
+                total = _fsum(self.rows[row, cuts[j]:ends[j]])
             sums.append(total)
         return sums
 
 
-def _fsum(values, top=None):
-    """``math.fsum(values)`` for a 1-D float64 array, bit for bit: the same
-    value, the same signed zero, and the same NaN or exception.  A caller
-    that knows every value is at most ``2**top`` in size passes ``top``;
-    the first level then takes its sigma from it, not from a pass over the
-    values for the largest."""
+def _fsum(values):
+    """``math.fsum(values)`` for a 1-D float64 array of values below 2 in
+    size, bit for bit: the same value and the same signed zero."""
     n = len(values)
-    if n < (_FSUM_MIN_EXTRACT if top is None else _FSUM_MIN_BOUNDED):
+    if n < _FSUM_MIN_EXTRACT:
         return math.fsum(memoryview(values))
     import numpy as np
-    if top is None:
-        big = max(float(np.maximum.reduce(values)),
-                  -float(np.minimum.reduce(values)))  # NaN if any is
-        if not 0.0 < big < math.inf:  # all zeros, an inf or a NaN
-            return math.fsum(memoryview(values))
-        top = math.frexp(big)[1]
     # a (2, n) buffer takes the high parts and remainders of one block, and
     # keeps its remainders from one level to the next, so that the first
     # level runs straight through and a later one goes on from the last.  More
@@ -217,8 +204,8 @@ def _fsum(values, top=None):
     buffer = np.empty((2, n if n <= _BLOCK else _BLOCK))
     high, low = buffer[0], buffer[1]
     r, sigmas, parts = values, [], []
-    k = _exponent(top, n)
-    while -960 < k < 1024:  # else sigma overflows, or the bound underflows
+    k = _exponent(_TOP, n)
+    while True:  # a loop over range(_LEVELS) adds a twentieth to a sum
         sigma = _sigma(k)
         if n <= _BLOCK:  # _split inline, whose call adds a twentieth to a sum
             np.add(r, sigma, out=high)
@@ -245,6 +232,5 @@ def _fsum(values, top=None):
         if exact:
             return math.fsum(parts)  # the parts are exact
         if len(parts) == _LEVELS:
-            break
+            return math.fsum(memoryview(values))
         k = _exponent(k - 53, n)  # every remainder is at most sigma 2^-53
-    return math.fsum(memoryview(values))

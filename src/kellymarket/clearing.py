@@ -22,8 +22,7 @@ takes its unit then too, a power of two that puts the largest capital in
 [1, 2), and holds the capitals in it, so every sum runs on exact unit-scale
 bits whatever the capitals' range, and none rescales them again; every total
 is exactly rounded (bit for bit ``math.fsum``).  Each value summed is then
-below 2 in size (``_TOP``), so an exact sum takes its first extraction level
-from that bound, without a pass for the largest value.
+below 2 in size, the one bound the exact sums take (``_exact._TOP``).
 numpy is imported only by the functions that build or scan those arrays;
 the two-investor closed forms at the end run without it.
 
@@ -36,13 +35,14 @@ sums and their extraction 10 us, when the root lies above one half; the
 fractions and the residual 10 us; the exposures as a tuple 5 us; 62 us in
 all, 75 with the mirror.  At 1,000 investors the solve takes 101 us (124
 with the mirror), 21 of them in the segment and 17 in the fractions and the
-residual, whose exact sum states its bound from _FSUM_MIN_EXTRACT values.
+residual.  The residual cancels, so its exact sum takes two extraction
+levels, and ``math.fsum`` takes it below ``_RESIDUAL_MIN_EXTRACT`` values.
 """
 
 import math
 from dataclasses import dataclass, field
 
-from ._exact import _FSUM_MIN_EXTRACT, _Extraction, _fsum
+from ._exact import _Extraction, _fsum
 from ._validation import check_positive, check_probability
 from .kelly import _kelly_fraction, optimal_fraction
 
@@ -64,10 +64,11 @@ __all__ = [
 # Price bracket: prices never reach the endpoints (odds diverge there).
 _PRICE_LO = 1e-9
 _PRICE_HI = 1.0 - 1e-9
-# Every value clearing sums is at most 2^_TOP in size: unit capitals lie in
-# [0, 2), beliefs in [0, 1] and Kelly fractions in [-1, 1], so each of c,
-# c q and c f is below 2, and an exact sum need not look for the largest.
-_TOP = 1
+# The residual cancels, so its exact sum takes two extraction levels: 10 to
+# 11 us a call, which beats math.fsum only from about 450 values (at 384, 9
+# to 10 us against 8; at 640, 11 against 15; warm calls, medians of
+# interleaved runs on one CPU of a 2-core x86 host).
+_RESIDUAL_MIN_EXTRACT = 512
 
 
 class NoInteriorClearing(ValueError):
@@ -109,7 +110,9 @@ class MarketPopulation:
 
     def _hold(self, capitals, beliefs, largest):
         # a unit of 2^(e - 1) dollars puts the largest capital in [1, 2): exact,
-        # so no sum or ratio taken in it moves a bit, and none over- or underflows
+        # so no sum or ratio taken in it moves a bit, and none over- or underflows.
+        # With beliefs in [0, 1] and Kelly fractions in [-1, 1], each of c, c q
+        # and c f is then below 2, as the exact sums require
         import numpy as np
         e = math.frexp(largest)[1]
         for name, array in (("capitals", capitals), ("beliefs", beliefs),
@@ -140,7 +143,7 @@ class MarketPopulation:
 
     @property
     def total_capital(self):
-        return _in_dollars(_fsum(self._unit_capitals, _TOP), self._unit,
+        return _in_dollars(_fsum(self._unit_capitals), self._unit,
                            "total capital")
 
     def scaled(self, factor):
@@ -186,7 +189,7 @@ def _aggregate(capitals, beliefs, p):
     import numpy as np
     exposures = _kelly_fraction(beliefs, p, np.where)
     exposures *= capitals
-    return _fsum(exposures, _TOP)
+    return _fsum(exposures)
 
 
 def aggregate_exposure(pop, p):
@@ -206,7 +209,7 @@ def mean_belief(pop):
     """Capital-weighted average belief, in [0, 1]; a belief every investor
     holds is returned exactly."""
     capitals, beliefs = pop._unit_capitals, pop.beliefs
-    return _mean(_fsum(capitals, _TOP), _fsum(capitals * beliefs, _TOP),
+    return _mean(_fsum(capitals), _fsum(capitals * beliefs),
                  float(beliefs.min()), float(beliefs.max()))
 
 
@@ -221,7 +224,7 @@ def _running_sums(capitals, order, q):
     cq = np.multiply(c, q, out=rows[1])
     # each row is added in the order of its own 1-D cumsum, with its bits
     running = rows.cumsum(axis=1)
-    return c, q, cq, running[0], running[1], _Extraction(rows, _TOP)
+    return c, q, cq, running[0], running[1], _Extraction(rows)
 
 
 def _end_exposure(sums, total, weighted, p):
@@ -274,7 +277,7 @@ def _segment_root(c, q, cq, sum_c, sum_cq, extraction):
     # every sum of one extraction, unless no investor is below or above
     lo_c, hi_c, lo_cq, hi_cq = (
         extraction.sums((0, m)) if 0 < m < len(q) else
-        (_fsum(x, _TOP) for x in (c[:m], c[m:], cq[:m], cq[m:])))
+        (_fsum(x) for x in (c[:m], c[m:], cq[:m], cq[m:])))
     return _quadratic_root(math.fsum((lo_c, -hi_c)),
                            math.fsum((hi_cq, -lo_c, -lo_cq)), lo_cq,
                            lower, upper)
@@ -349,12 +352,10 @@ def clearing_price(pop, tol=None):
 
     fractions = _kelly_fraction(beliefs, price, np.where)
     # the residual is summed in the unit, where no capital overflows; the
-    # exposures are taken in dollars, where none underflows to 0.  The
-    # residual cancels, so an exact sum of it takes two extraction levels,
-    # which beat math.fsum only from _FSUM_MIN_EXTRACT values: from there it
-    # states the bound, and below it states none, which keeps math.fsum
-    residual = _fsum(capitals * fractions,
-                     _TOP if len(fractions) >= _FSUM_MIN_EXTRACT else None)
+    # exposures are taken in dollars, where none underflows to 0
+    residual = capitals * fractions
+    residual = (_fsum(residual) if len(residual) >= _RESIDUAL_MIN_EXTRACT
+                else math.fsum(memoryview(residual)))
     if abs(residual) > tol:
         raise ValueError(
             f"clearing residual {residual * unit:.3g} exceeds tolerance "

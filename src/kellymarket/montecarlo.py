@@ -346,7 +346,8 @@ def _native_up_steps(keys, n, p):
             words.append(draw(n))
         if batched:
             block = np.concatenate(words).reshape(-1, n)
-            counts[start:start + rows] = np.count_nonzero(block < limit, axis=1)
+            counts[start:start + rows] = np.add.reduce(block < limit, axis=1,
+                                                       dtype=np.int64)
         else:
             counts[start] = np.count_nonzero(words[0] < limit)
     return counts

@@ -4,6 +4,7 @@ import pickle
 import re
 import sys
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from kellymarket.clearing import (
     mean_belief_confident_yes,
     signed_exposure,
 )
-from kellymarket._exact import _BLOCK, _FSUM_MIN_BOUNDED
+from kellymarket._exact import _BLOCK, _FSUM_MIN_EXTRACT
 from kellymarket.clearing import _quadratic_root
 from kellymarket.kelly import _kelly_fraction, optimal_fraction
 
@@ -652,8 +653,9 @@ class TestSinglePass:
     def test_reads_an_interior_market_in_one_pass(self, monkeypatch):
         # beliefs inside the bracket: the prefix sums settle both ends.  The
         # values each exact sum reads are counted where clearing hands them
-        # to the exact-sum layer, math.fsum below the crossover or one
-        # extraction of both rows above it
+        # on: to _fsum, to one extraction of both rows, or, for a residual
+        # below its crossover, to math.fsum as a memoryview (the segment's
+        # few coefficients go to math.fsum as tuples)
         def refused(*args):
             raise AssertionError("a second pass over the population")
 
@@ -663,9 +665,14 @@ class TestSinglePass:
             market = pop(*zip(rng.pareto(1.5, n) + 1.0, rng.uniform(0.01, 0.99, n)))
             want, lengths = clearing_price(market), []
 
-            def counted_fsum(values, *top):
+            def counted_fsum(values):
                 lengths.append(len(values))
-                return fsum(values, *top)
+                return fsum(values)
+
+            def counted_math_fsum(values):
+                if isinstance(values, memoryview):
+                    lengths.append(len(values))
+                return math.fsum(values)
 
             def counted_sums(extraction, cuts):
                 ends = (*cuts[1:], extraction.n)
@@ -677,6 +684,8 @@ class TestSinglePass:
                 patch.setattr(clearing, "_aggregate", refused)
                 patch.setattr(clearing, "mean_belief", refused)
                 patch.setattr(clearing, "_fsum", counted_fsum)
+                patch.setattr(clearing, "math", SimpleNamespace(
+                    **{**vars(math), "fsum": counted_math_fsum}))
                 patch.setattr(_exact._Extraction, "sums", counted_sums)
                 assert clearing_price(market) == want
             # the two totals and the residual over all n, and the four
@@ -684,10 +693,11 @@ class TestSinglePass:
             assert lengths.count(n) <= 5
             assert sum(lengths) == 5 * n
 
-    @pytest.mark.parametrize("n", [100, 300, 511, 512, 1000, 3000, 10_000])
+    @pytest.mark.parametrize("n", [100, 300, clearing._RESIDUAL_MIN_EXTRACT - 1,
+                                   clearing._RESIDUAL_MIN_EXTRACT, 1000, 3000, 10_000])
     def test_matches_the_multi_pass_solver_at_workload_sizes(self, n):
-        # the sizes the benchmark solves at, and the edge where _fsum starts
-        # extracting: the oracle sums every total with math.fsum
+        # the sizes the benchmark solves at, and the edge where the residual
+        # starts extracting: the oracle sums every total with math.fsum
         tiny = sys.float_info.min
         for capitals, beliefs in _sized_markets(np.random.default_rng(n), n):
             market = pop(*zip(capitals.tolist(), beliefs.tolist()))
@@ -731,7 +741,7 @@ def _sized_markets(rng, n):
                 yield capitals * scale, beliefs
 
 
-@pytest.mark.parametrize("n", [100, _FSUM_MIN_BOUNDED - 1, _FSUM_MIN_BOUNDED, 300,
+@pytest.mark.parametrize("n", [100, _FSUM_MIN_EXTRACT - 1, _FSUM_MIN_EXTRACT, 300,
                                1000, _BLOCK, _BLOCK + 1])
 def test_demand_curves_are_exactly_rounded_at_workload_sizes(n):
     # the benchmark's 50 curve prices, the bracket ends and the lowest price
@@ -770,7 +780,7 @@ def _bound_markets():
 
 class TestUnitBound:
     # the exact sums take every value clearing sums to be below 2^_TOP = 2
-    bound = 2.0 ** clearing._TOP
+    bound = 2.0 ** _exact._TOP
 
     def test_unit_capitals_lie_below_two(self):
         for market in _bound_markets():

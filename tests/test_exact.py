@@ -1,6 +1,5 @@
 import math
 import tracemalloc
-import warnings
 
 import numpy as np
 import pytest
@@ -8,13 +7,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kellymarket import _exact
-from kellymarket._exact import _BLOCK, _FSUM_MIN_EXTRACT, _fsum, _pairwise_sum
-from kellymarket._exact import _FSUM_MIN_BOUNDED, _Extraction
+from kellymarket._exact import _BLOCK, _FSUM_MIN_EXTRACT, _Extraction, _fsum
+from kellymarket._exact import _pairwise_sum
 
 SIZES = (_FSUM_MIN_EXTRACT - 1, _FSUM_MIN_EXTRACT, _FSUM_MIN_EXTRACT + 1,
          1000, 4097)
 # one block, one block exactly, and a block and one value
 BLOCK_EDGES = (_BLOCK - 1, _BLOCK, _BLOCK + 1)
+
+
+def below_two(values):
+    """``values`` scaled by a power of two that puts the largest size in
+    [1, 2): the one contract of the exact sums."""
+    return np.ldexp(values, 1 - math.frexp(np.abs(values).max())[1])
 
 
 def outcome(total, values):
@@ -34,19 +39,19 @@ def assert_fsum(values):
 
 
 def array(seed, n, kind):
-    """n seeded values of one shape: heavy-tailed capital, capital times a
-    signed weight, values with their negatives (sum exactly 0), or signs and
-    exponents drawn over the whole float range."""
+    """n seeded values of one shape, scaled below 2 in size: heavy-tailed
+    capital, capital times a signed weight, values with their negatives (sum
+    exactly 0), or signs and exponents drawn over the float range below 2."""
     rng = np.random.default_rng(seed)
     pareto = rng.pareto(1.5, n) + 1.0
     if kind == "pareto":
-        return pareto
+        return below_two(pareto)
     if kind == "mixed":
-        return pareto * rng.uniform(-1.0, 1.0, n)
+        return below_two(pareto * rng.uniform(-1.0, 1.0, n))
     if kind == "cancelling":
         half = pareto[: n // 2] * rng.choice([-1.0, 1.0], n // 2)
-        return rng.permutation(np.concatenate([half, -half]))
-    return np.ldexp(rng.uniform(-1.0, 1.0, n), rng.integers(-1074, 1024, n))
+        return below_two(rng.permutation(np.concatenate([half, -half])))
+    return below_two(np.ldexp(rng.uniform(-1.0, 1.0, n), rng.integers(-1074, 2, n)))
 
 
 KINDS = ("pareto", "mixed", "cancelling", "wide")
@@ -67,6 +72,7 @@ def test_second_level_sum_matches_fsum(n, monkeypatch):
     values = np.ldexp(rng.pareto(1.5, n) * rng.choice([-1.0, 1.0], n),
                       rng.integers(-80, 1, n))
     values[-1] = -math.fsum(values[:-1])
+    values = below_two(values)  # exact: the sum is still a rounding error
     want, fsum, lengths = math.fsum(values), math.fsum, []
 
     def counted(parts):
@@ -98,18 +104,19 @@ def test_matches_fsum_on_a_hundred_thousand_values(kind):
 
 
 @given(seed=st.integers(0, 2 ** 32 - 1), n=st.sampled_from(SIZES),
-       kind=st.sampled_from(KINDS), scale=st.integers(-1100, 1000))
+       kind=st.sampled_from(KINDS), scale=st.integers(-1100, 0))
 @settings(max_examples=300, deadline=None)
 def test_matches_fsum_on_drawn_arrays(seed, n, kind, scale):
-    with np.errstate(over="ignore"):
-        assert_fsum(np.ldexp(array(seed, n, kind), scale))
+    # scaled down from below 2 as far as the subnormals and 0
+    assert_fsum(np.ldexp(array(seed, n, kind), scale))
 
 
 def padded(values, n=2 * _FSUM_MIN_EXTRACT):
-    """``values`` hidden among heavy-tailed values and their negatives, in
-    seeded order: the same exact sum, at a size that extraction takes."""
+    """``values`` hidden among heavy-tailed values below 2 and their
+    negatives, in seeded order: the same exact sum, at a size that
+    extraction takes."""
     rng = np.random.default_rng(len(values))
-    others = rng.pareto(1.5, (n - len(values)) // 2) * 1e3
+    others = below_two(rng.pareto(1.5, (n - len(values)) // 2))
     return rng.permutation(np.concatenate([others, -others, values]))
 
 
@@ -133,46 +140,11 @@ def test_matches_fsum_at_ties_and_subnormals(tail):
     np.zeros(_FSUM_MIN_EXTRACT),
     np.full(_FSUM_MIN_EXTRACT, 5e-324),
     np.ldexp(np.arange(1.0, 2001.0), -1074),
-    np.full(_FSUM_MIN_EXTRACT, 1.7e308 / _FSUM_MIN_EXTRACT),
     np.full(_BLOCK + 1, -0.0),
     np.zeros(_BLOCK + 1),
 ])
-def test_matches_fsum_on_zeros_subnormals_and_the_float_range(values):
+def test_matches_fsum_on_zeros_and_subnormals(values):
     assert_fsum(values)
-
-
-@pytest.mark.parametrize("special, want", [
-    ([math.nan], "nan"),
-    ([math.inf], "inf"),
-    ([-math.inf, 1.0], "-inf"),
-    ([math.inf, math.nan], "nan"),
-    ([math.inf, -math.inf], (ValueError, "-inf + inf in fsum")),
-    ([1e308, 1e308, -1e308], (OverflowError, "intermediate overflow in fsum")),
-])
-def test_keeps_fsum_outcomes_for_non_finite_and_overflowing_input(special, want):
-    values = np.zeros(2 * _FSUM_MIN_EXTRACT)
-    values[: len(special)] = special
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")  # and no numpy warning on the way
-        got = outcome(_fsum, values)
-    assert got == outcome(math.fsum, values)
-    assert got == (want if isinstance(want, tuple) else float(want).hex())
-
-
-@pytest.mark.parametrize("special, want", [
-    (math.nan, "nan"),
-    (math.inf, "inf"),
-    (-math.inf, "-inf"),
-])
-@pytest.mark.parametrize("at", [0, _BLOCK - 1, _BLOCK, 2 * _BLOCK])
-def test_keeps_fsum_outcomes_in_any_block(special, want, at):
-    # a NaN or an infinity in a later block is found as in the first
-    values = array(5, 2 * _BLOCK + 1, "mixed")
-    values[at] = special
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        got = outcome(_fsum, values)
-    assert got == outcome(math.fsum, values) == float(want).hex()
 
 
 def test_extraction_certifies_without_math_fsum_over_the_values(monkeypatch):
@@ -201,9 +173,9 @@ def test_pairwise_sum_adds_in_numpys_order(seed):
         assert _pairwise_sum(values.tolist()).hex() == np.add.reduce(values).hex(), n
 
 
-# Sums whose every value is below 2 in size, as clearing's are, state that
-# bound (top = 1) in place of a pass for the largest value.
-BOUNDED_SIZES = (_FSUM_MIN_BOUNDED - 1, _FSUM_MIN_BOUNDED, _FSUM_MIN_BOUNDED + 1,
+# The shapes clearing sums, near the bound of 2 and below it: the first
+# level's sigma comes from that bound alone.
+BOUNDED_SIZES = (_FSUM_MIN_EXTRACT - 1, _FSUM_MIN_EXTRACT, _FSUM_MIN_EXTRACT + 1,
                  1000, *BLOCK_EDGES)
 BELOW_TWO = np.nextafter(2.0, 0.0)
 
@@ -212,7 +184,7 @@ def bounded(seed, n, kind):
     """n seeded values below 2 in size: unit capitals (the largest in
     [1, 2)), mixed signs, values with their negatives (sum exactly 0), the
     same cancelling to a subnormal, all -0.0, +-(2 - ulp) with a few small
-    values, or values in [1, 2)."""
+    values, values in [1, 2), or in (-2, -1]."""
     rng = np.random.default_rng(seed)
     pareto = rng.pareto(1.5, n) + 1.0
     capitals = np.ldexp(pareto, 1 - math.frexp(pareto.max())[1])
@@ -228,6 +200,8 @@ def bounded(seed, n, kind):
         return values
     if kind == "near two":  # one sign: the high parts' sums come near sigma
         return rng.uniform(1.0, 2.0, n)
+    if kind == "near minus two":  # high parts below sigma, on its finer grid:
+        return -rng.uniform(1.0, 2.0, n)  # a bound of 1 would round their sums
     half = capitals[: n // 2] * rng.choice([-1.0, 1.0], n // 2)
     values = np.concatenate([half, -half, np.zeros(n % 2)])
     if kind == "to a subnormal":
@@ -236,7 +210,7 @@ def bounded(seed, n, kind):
 
 
 BOUNDED_KINDS = ("capitals", "mixed", "to zero", "to a subnormal",
-                 "negative zeros", "top", "near two")
+                 "negative zeros", "top", "near two", "near minus two")
 
 
 @pytest.mark.parametrize("kind", BOUNDED_KINDS)
@@ -245,7 +219,7 @@ def test_bounded_sum_matches_fsum(n, kind):
     for seed in range(3):
         values = bounded(seed, n, kind)
         for view in (values, values[::-1], values[1:-1], values[::2], values[::-3]):
-            got = outcome(lambda v: _fsum(v, 1), view)
+            got = outcome(_fsum, view)
             assert got == outcome(math.fsum, view), (kind, len(view))
 
 
@@ -258,7 +232,7 @@ def test_bounded_sum_matches_fsum(n, kind):
     [2.0 ** -1022, 2.0 ** -1074, -(2.0 ** -1070)],  # subnormal sums
     [1e-310, -3e-320, 2.5e-308],
 ])
-@pytest.mark.parametrize("n", [_FSUM_MIN_BOUNDED, 1000, _BLOCK + 1])
+@pytest.mark.parametrize("n", [_FSUM_MIN_EXTRACT, 1000, _BLOCK + 1])
 def test_bounded_sum_matches_fsum_at_ties(tail, n):
     # the tail among values below 2 and their negatives, in seeded order;
     # half of those lie far below 2, so that numpy's sum of the remainders
@@ -269,12 +243,12 @@ def test_bounded_sum_matches_fsum_at_ties(tail, n):
         others = np.ldexp(rng.uniform(-1.0, 1.0, half), rng.integers(-90, 2, half))
         values = rng.permutation(np.concatenate([others, -others, tail]))
         for view in (values, values[::-1]):
-            assert _fsum(view, 1).hex() == math.fsum(view).hex(), (seed, tail)
+            assert _fsum(view).hex() == math.fsum(view).hex(), (seed, tail)
 
 
 @pytest.mark.parametrize("kind", ["capitals", "mixed", "top"])
 def test_bounded_sum_certifies_without_math_fsum_over_the_values(kind, monkeypatch):
-    # the stated bound sets the first level; only the parts go to math.fsum
+    # the bound of 2 sets the first level; only the parts go to math.fsum
     fsum, lengths = math.fsum, []
 
     def counted(values):
@@ -283,19 +257,19 @@ def test_bounded_sum_certifies_without_math_fsum_over_the_values(kind, monkeypat
         return fsum(values)
 
     monkeypatch.setattr(math, "fsum", counted)
-    for n in (_FSUM_MIN_BOUNDED, 1000, _BLOCK + 1):
+    for n in (_FSUM_MIN_EXTRACT, 1000, _BLOCK + 1):
         values = bounded(4, n, kind)
-        assert _fsum(values, 1) == fsum(values)
+        assert _fsum(values) == fsum(values)
     assert lengths and max(lengths) <= _exact._LEVELS + 2
 
 
 @pytest.mark.parametrize("kind", BOUNDED_KINDS)
-@pytest.mark.parametrize("n", [2, _FSUM_MIN_BOUNDED - 1, _FSUM_MIN_BOUNDED, 1000])
+@pytest.mark.parametrize("n", [2, _FSUM_MIN_EXTRACT - 1, _FSUM_MIN_EXTRACT, 1000])
 def test_extraction_sums_match_fsum(n, kind):
     # the sums of runs of columns that one extraction of two rows gives,
     # certified or taken again, and below the crossover math.fsum's own
     rows = np.stack([bounded(n, n, "capitals"), bounded(n + 1, n, kind)])
-    extraction = _Extraction(rows, 1)
+    extraction = _Extraction(rows)
     for cuts in [(0,)] + [(0, m) for m in sorted({1, n // 3, n - 1}) if 0 < m < n]:
         ends = (*cuts[1:], n)
         want = [math.fsum(row[a:b]).hex() for row in rows for a, b in zip(cuts, ends)]
@@ -306,14 +280,14 @@ def test_cached_sigmas_are_read_only():
     # every sum at one exponent shares its sigma: a write into it would move
     # every later sum, so it is refused, and the sums are still math.fsum's
     rows = np.stack([bounded(6, 1000, "mixed"), bounded(7, 1000, "capitals")])
-    k = _exact._exponent(1, 1000)  # the first level's of both sums below
+    k = _exact._exponent(_exact._TOP, 1000)  # the first level's of both sums below
     sigma = _exact._sigma(k)
     assert _exact._sigma(k) is sigma
     try:
         with pytest.raises(ValueError, match="read-only"):
             sigma[...] = 3.0
-        assert _fsum(rows[0], 1).hex() == math.fsum(rows[0]).hex()
+        assert _fsum(rows[0]).hex() == math.fsum(rows[0]).hex()
         want = [math.fsum(row).hex() for row in rows]
-        assert [x.hex() for x in _Extraction(rows, 1).sums((0,))] == want
+        assert [x.hex() for x in _Extraction(rows).sums((0,))] == want
     finally:
         _exact._SIGMAS.pop(k)  # a sigma written into leaves with this test
