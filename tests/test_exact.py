@@ -22,6 +22,9 @@ def below_two(values):
     return np.ldexp(values, 1 - math.frexp(np.abs(values).max())[1])
 
 
+BELOW_TWO = float(np.nextafter(2.0, 0.0))
+
+
 def outcome(total, values):
     """What ``total(values)`` gives: the bits of its value, signed zero and
     NaN included, or its exception and message."""
@@ -147,6 +150,25 @@ def test_matches_fsum_on_zeros_and_subnormals(values):
     assert_fsum(values)
 
 
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+@pytest.mark.parametrize("n", [_FSUM_MIN_EXTRACT, _BLOCK + 1])
+def test_matches_fsum_on_values_at_the_bound(n, sign):
+    # the largest sums the contract admits: every value 2 - ulp, in one
+    # block and past it
+    assert_fsum(np.full(n, sign * BELOW_TWO))
+
+
+@pytest.mark.parametrize("special", [BELOW_TWO, -BELOW_TWO, 5e-324])
+@pytest.mark.parametrize("at", [0, _BLOCK - 1, _BLOCK, 2 * _BLOCK])
+def test_matches_fsum_with_the_bound_in_any_block(special, at):
+    # every level's sigma comes from the bound of 2, not from the first
+    # block: a value at the bound, or the least subnormal, in a later block
+    # is split as in the first
+    values = array(5, 2 * _BLOCK + 1, "mixed")
+    values[at] = special
+    assert_fsum(values)
+
+
 def test_extraction_certifies_without_math_fsum_over_the_values(monkeypatch):
     # only the few extracted parts go to math.fsum, never the whole array
     fsum, lengths = math.fsum, []
@@ -177,7 +199,6 @@ def test_pairwise_sum_adds_in_numpys_order(seed):
 # level's sigma comes from that bound alone.
 BOUNDED_SIZES = (_FSUM_MIN_EXTRACT - 1, _FSUM_MIN_EXTRACT, _FSUM_MIN_EXTRACT + 1,
                  1000, *BLOCK_EDGES)
-BELOW_TWO = np.nextafter(2.0, 0.0)
 
 
 def bounded(seed, n, kind):
