@@ -387,8 +387,11 @@ def mean_belief_confident_no(q, p):
 
 
 def confident_yes_capital(q, p):
-    """Capital the q-believer needs to clear against one dollar held by a
-    bettor certain the event will happen: ``(1-p)/(p-q)``, q < p."""
+    """Capital that puts the mean belief of {(capital, q), (1 dollar,
+    belief 1)} at p: ``(1-p)/(p-q)``, q < p.  Clearing at p takes
+    ``p/(p-q)``; this market clears at ``(1-p) q / (q - 2p + 1)`` (0.14 at
+    p = 0.3, q = 0.1) where that is below 1; otherwise, as for any capital
+    below one dollar (q < 2p - 1), no price clears (NoInteriorClearing)."""
     q = check_probability(q, "q")
     p = check_probability(p, "p", open_interval=True)
     if p - q < 1e-12:

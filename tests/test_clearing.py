@@ -425,6 +425,18 @@ class TestClosedForms:
                 population = pop((capital, q), (1.0, 1.0))
                 assert mean_belief(population) == pytest.approx(p, abs=1e-12)
 
+    def test_confident_yes_capital_does_not_clear_at_the_price(self):
+        # the mean belief is p, the price (1-p) q / (q - 2p + 1)
+        p, q = 0.3, 0.1
+        result = clearing_price(pop((confident_yes_capital(q, p), q), (1.0, 1.0)))
+        assert result.price == pytest.approx(0.14, abs=1e-12)
+        assert result.mean_belief == pytest.approx(p, abs=1e-12)
+        # below one dollar of capital, no price in (0, 1) clears
+        p, q = 0.8, 0.5
+        assert confident_yes_capital(q, p) < 1.0
+        with pytest.raises(NoInteriorClearing):
+            clearing_price(pop((confident_yes_capital(q, p), q), (1.0, 1.0)))
+
     def test_range_sides(self):
         for p in (0.1, 0.3, 0.49):
             for q in np.linspace(p + 1e-3, 1.0, 50):

@@ -4,11 +4,11 @@ import re
 import numpy as np
 import pytest
 
-from kellymarket import montecarlo
+from kellymarket import _walks, montecarlo
 from kellymarket.growth import WalkSpec, binomial_pmf, prob_growth_below, threshold_steps
 from kellymarket.kelly import even_odds_growth_rate
+from kellymarket._walks import BULK_MAX_STEPS
 from kellymarket.montecarlo import (
-    BULK_MAX_STEPS,
     SimConfig,
     compare_strategies,
     run,
@@ -127,10 +127,10 @@ class TestEngineAgainstPerPathStreams:
     @pytest.mark.parametrize("seed", [0, 42, 2 ** 40 + 3, 2 ** 64 - 1])
     @pytest.mark.parametrize("offset, stop", [
         (0, 3), (1, 4), (2 ** 32 - 1, 2 ** 32),
-        (2 ** 32 - montecarlo._CHUNK_ELEMENTS, 2 ** 32),
+        (2 ** 32 - _walks._CHUNK_ELEMENTS, 2 ** 32),
     ])
     def test_keys_match_seed_sequence(self, seed, offset, stop):
-        k0, k1 = montecarlo._philox_keys(montecarlo._seed_pool(seed), offset, stop)
+        k0, k1 = _walks._philox_keys(_walks._seed_pool(seed), offset, stop)
         assert len(k0) == len(k1) == stop - offset
         for j, i in enumerate(range(offset, stop)):
             assert (int(k0[j]), int(k1[j])) == philox_key(seed, i)
@@ -141,25 +141,25 @@ class TestEngineAgainstPerPathStreams:
                  *(int(s) for s in rng.integers(0, 2 ** 20, 250)),
                  *(int(s) for s in rng.integers(0, 2 ** 64, 250, dtype=np.uint64))]
         for seed in seeds:
-            assert montecarlo._seed_pool(seed) == tuple(
+            assert _walks._seed_pool(seed) == tuple(
                 np.random.SeedSequence(seed).pool.tolist()), seed
 
     # around the crossover, the crossover before it was re-measured, and the
     # native kernel's switch from batched to per-path counting
     @pytest.mark.parametrize("steps", [
         1, 53, BULK_MAX_STEPS - 1, BULK_MAX_STEPS, BULK_MAX_STEPS + 1, 71, 72, 73,
-        montecarlo._BATCH_MAX_STEPS, montecarlo._BATCH_MAX_STEPS + 1, 5000,
+        _walks._BATCH_MAX_STEPS, _walks._BATCH_MAX_STEPS + 1, 5000,
     ])
     def test_counts_match_per_path_streams(self, steps):
         walk = WalkSpec(steps, 0.6)
-        got = montecarlo._path_up_steps(walk, 28, 7)[5:]
+        got = _walks._path_up_steps(walk, 28, 7)[5:]
         assert np.array_equal(got, per_path_up_steps(walk, 23, 7, path_offset=5))
 
     @pytest.mark.parametrize("bias", [1.0 - 1e-12, 1e-9])
     @pytest.mark.parametrize("steps", [40, BULK_MAX_STEPS + 40])
     def test_extreme_bias(self, bias, steps):
         walk = WalkSpec(steps, bias)
-        got = montecarlo._path_up_steps(walk, 50, 3)
+        got = _walks._path_up_steps(walk, 50, 3)
         assert np.array_equal(got, per_path_up_steps(walk, 50, 3))
 
     @pytest.mark.parametrize("bias", [0.6, 0.5, 1e-9, 1.0 - 1e-12])
@@ -168,13 +168,13 @@ class TestEngineAgainstPerPathStreams:
         edge = math.floor(bias * 2.0 ** 53)
         for top in (edge - 1, edge, edge + 1):
             word = top << 11 | 0x7FF
-            assert (word < montecarlo._below(bias)) == (top * 2.0 ** -53 < bias)
+            assert (word < _walks._below(bias)) == (top * 2.0 ** -53 < bias)
 
     def test_counts_near_the_last_path_index(self):
         seed, offset = 2 ** 64 - 1, 2 ** 32 - 4
-        keys = montecarlo._philox_keys(montecarlo._seed_pool(seed), offset, 2 ** 32)
-        for kernel, steps in ((montecarlo._bulk_up_steps, 9),
-                              (montecarlo._native_up_steps, BULK_MAX_STEPS + 1)):
+        keys = _walks._philox_keys(_walks._seed_pool(seed), offset, 2 ** 32)
+        for kernel, steps in ((_walks._bulk_up_steps, 9),
+                              (_walks._native_up_steps, BULK_MAX_STEPS + 1)):
             walk = WalkSpec(steps, 0.45)
             got = kernel(keys, walk.steps, walk.bias)
             assert np.array_equal(
@@ -187,30 +187,29 @@ class TestEngineAgainstPerPathStreams:
         (45, 3 * 45, 1), (45, 3 * 45, 4), (45, 3 * 45, 8), (45, 44, 5),
     ])
     def test_native_batches(self, steps, words, paths, monkeypatch):
-        monkeypatch.setattr(montecarlo, "_BATCH_WORDS", words)
+        monkeypatch.setattr(_walks, "_CHUNK_ELEMENTS", words)
         walk = WalkSpec(steps, 0.55)
-        keys = montecarlo._philox_keys(montecarlo._seed_pool(13), 0, paths)
-        got = montecarlo._native_up_steps(keys, walk.steps, walk.bias)
+        keys = _walks._philox_keys(_walks._seed_pool(13), 0, paths)
+        got = _walks._native_up_steps(keys, walk.steps, walk.bias)
         assert np.array_equal(got, per_path_up_steps(walk, paths, 13))
 
-    # each case leaves a partial last chunk: chunks of 21, 6 and 64 paths
-    # under a 64-element limit, and of 819 paths under the default one;
-    # native batches of 2 paths under a 146-word limit, and of 77 under the
-    # default one, leave a partial last batch too
-    @pytest.mark.parametrize("steps, limit, words, paths", [
-        (10, 64, montecarlo._BATCH_WORDS, 97),
-        (BULK_MAX_STEPS, 64, montecarlo._BATCH_WORDS, 97),
-        (BULK_MAX_STEPS + 1, 64, montecarlo._BATCH_WORDS, 97),
-        (73, 64, 146, 97),
-        (BULK_MAX_STEPS, montecarlo._CHUNK_ELEMENTS, montecarlo._BATCH_WORDS, 1177),
-        (53, montecarlo._CHUNK_ELEMENTS, montecarlo._BATCH_WORDS, 1177),
+    # each case leaves a partial last chunk: chunks of 21, 5 and 64 paths
+    # under a 64-element limit, of 146 paths under a 146-element one, and
+    # of 744 paths under the default one; native batches of 2 paths under
+    # the 146-element limit, and of 154 under the default one, leave a
+    # partial last batch too
+    @pytest.mark.parametrize("steps, limit, paths", [
+        (10, 64, 97),
+        (BULK_MAX_STEPS, 64, 97),
+        (BULK_MAX_STEPS + 1, 64, 97),
+        (73, 146, 201),
+        (BULK_MAX_STEPS, _walks._CHUNK_ELEMENTS, 1177),
+        (53, _walks._CHUNK_ELEMENTS, 1177),
     ])
-    def test_paths_not_a_multiple_of_the_chunk(self, steps, limit, words, paths,
-                                               monkeypatch):
-        monkeypatch.setattr(montecarlo, "_CHUNK_ELEMENTS", limit)
-        monkeypatch.setattr(montecarlo, "_BATCH_WORDS", words)
+    def test_paths_not_a_multiple_of_the_chunk(self, steps, limit, paths, monkeypatch):
+        monkeypatch.setattr(_walks, "_CHUNK_ELEMENTS", limit)
         walk = WalkSpec(steps, 0.55)
-        got = montecarlo._path_up_steps(walk, paths, 11)
+        got = _walks._path_up_steps(walk, paths, 11)
         assert np.array_equal(got, per_path_up_steps(walk, paths, 11))
 
     @pytest.mark.parametrize("workers", [2, 3, 7])
@@ -234,20 +233,20 @@ class TestAggregation:
     def test_same_bits_as_numpy(self, size, offset):
         rng = np.random.default_rng(size)
         values = offset + rng.standard_normal(size) * rng.choice([1e-3, 1.0, 1e3], size)
-        mean = montecarlo._mean(values)
+        mean = _walks._mean(values)
         assert mean.hex() == float(values.mean()).hex()
         expected = float(values.std(ddof=1) / math.sqrt(size)) if size > 1 else 0.0
-        assert montecarlo._std_error(values, mean).hex() == expected.hex()
+        assert _walks._std_error(values, mean).hex() == expected.hex()
 
     # five strategies, f = 0 and a config without a threshold among them;
     # the last path count spans more than one chunk of keys
-    @pytest.mark.parametrize("paths", [*AGGREGATE_SIZES, montecarlo._CHUNK_ELEMENTS + 1])
+    @pytest.mark.parametrize("paths", [*AGGREGATE_SIZES, _walks._CHUNK_ELEMENTS + 1])
     def test_results_keep_numpy_bits(self, paths):
         walk, seed = WalkSpec(30, 0.55), 1000 + paths
         configs = [SimConfig(walk, f, paths, seed, q) for f, q in (
             (0.1, -0.5), (0.0, -0.5), (0.35, -0.5), (0.2, None), (0.6, 0.25))]
         rows = compare_strategies(configs)
-        up_steps = montecarlo._path_up_steps(walk, paths, seed)
+        up_steps = _walks._path_up_steps(walk, paths, seed)
 
         def per_step_growth(f):
             n = walk.steps
