@@ -3,20 +3,20 @@ numpy's summation order, and ``math.fsum`` of an array at numpy speed.
 
 :func:`_fsum` and :class:`_Extraction` sum values below 2 in size
 (``_TOP``); a market's power-of-two unit keeps every value clearing sums
-there.  From ``_FSUM_MIN_EXTRACT`` values they split the array by
-error-free extraction (Rump, Ogita and Oishi, "Accurate floating-point
-summation part I: faithful rounding", SIAM J. Sci. Comput. 31(1), 2008):
-rounding each value to a multiple of a power of two fixed by that bound and
-the count gives high parts that numpy sums exactly, in any order, and exact
-remainders.  Once an error bound on numpy's sum of the remainders shows
-that every value it allows rounds alike, that is the exactly rounded sum;
-otherwise the next level splits the remainders, whose size the last level
-bounds, and after ``_LEVELS`` levels ``math.fsum`` decides.  Above
-``_BLOCK`` values each level runs block by block through one buffer of a
-block, and takes each block's remainders again from the values, so no
-call allocates an array as long as its input.  :class:`_Extraction` runs
-one level over the rows of a 2-D array and reads the sums of any runs of
-columns from it.
+there.  They split the array by error-free extraction (Rump, Ogita and
+Oishi, "Accurate floating-point summation part I: faithful rounding", SIAM
+J. Sci. Comput. 31(1), 2008): rounding each value to a multiple of a power
+of two fixed by that bound and the count gives high parts that numpy sums
+exactly, in any order, and exact remainders.  Once an error bound on
+numpy's sum of the remainders shows that every value it allows rounds
+alike, that is the exactly rounded sum; otherwise the next level splits the
+remainders, whose size the last level bounds, and after ``_LEVELS`` levels
+``math.fsum`` decides.  Above ``_BLOCK`` values each level runs block by
+block through one buffer of a block, and takes each block's remainders
+again from the values, so no call allocates an array as long as its input.
+:func:`_fsum` hands a short array to ``math.fsum``; :class:`_Extraction`
+runs one level over the rows of a 2-D array of any width and reads the sums
+of any runs of columns.
 """
 
 import math
@@ -24,8 +24,8 @@ import math
 # Every value summed is at most 2^_TOP in size.
 _TOP = 1
 # Below these many values math.fsum, at 23 to 28 ns a value, is faster than
-# the numpy passes (warm calls, medians of interleaved runs on one CPU of a
-# 2-core x86 host).  One level takes about 4 us a call plus 1.3 ns a value:
+# _fsum's numpy passes (warm calls, medians of interleaved runs on one CPU of
+# a 2-core x86 host).  One level takes about 4 us a call plus 1.3 ns a value:
 # the two meet near 200 values (0.80 to 0.85 of math.fsum's time at 224 and
 # 256, 0.96 to 0.99 at 192 and 208, 1.03 to 1.17 at 160 and 176).
 _FSUM_MIN_EXTRACT = 224
@@ -153,38 +153,31 @@ def _certified(parts, s, e):
 
 
 class _Extraction:
-    """One extraction level over the rows of a 2-D array of n columns, from
-    which :meth:`sums` reads the exactly rounded sums of runs of columns in
-    each row.  Below ``_FSUM_MIN_EXTRACT`` columns ``math.fsum`` takes each
-    run instead."""
+    """One extraction level over the rows of a 2-D array of any width n;
+    :meth:`sums` reads from it the exactly rounded sums of runs of columns
+    in each row (a solve's six beat ``math.fsum`` from about 60 columns)."""
 
     def __init__(self, rows):
-        self.rows, self.n, self.split = rows, rows.shape[1], None
-        if self.n >= _FSUM_MIN_EXTRACT:
-            import numpy as np
-            k = _exponent(_TOP, self.n)  # a run of fewer columns keeps k and e
-            self.e = _bound(self.n, k)
-            self.split = split = np.empty((2, *rows.shape))
-            _split(rows, _sigma(k), split[0], split[1])
+        import numpy as np
+        self.rows, self.n = rows, rows.shape[1]
+        k = _exponent(_TOP, self.n)  # a run of fewer columns keeps k and e
+        self.e = _bound(self.n, k)
+        self.split = split = np.empty((2, *rows.shape))
+        _split(rows, _sigma(k), split[0], split[1])
 
     def sums(self, cuts):
         """Each row's sums over the columns from each of the increasing
         ``cuts`` (the first 0, the last below n) to the next, the last to
         the end, row by row: bit for bit ``math.fsum``, certified by the
         bound on the remainders' sum, else taken by :func:`_fsum`."""
-        ends = (*cuts[1:], self.n)
-        if self.split is None:
-            return [math.fsum(memoryview(row[start:stop]))
-                    for row in self.rows for start, stop in zip(cuts, ends)]
         import numpy as np
-        parts = np.add.reduceat(self.split, cuts, axis=-1)
-        highs, lows = parts.reshape(2, -1).tolist()
+        highs, lows = np.add.reduceat(self.split, cuts, axis=-1).reshape(2, -1).tolist()
         sums = []
         for i, (part, s) in enumerate(zip(highs, lows)):
             total = _certified([part], s, self.e)
             if total is None:
                 row, j = divmod(i, len(cuts))
-                total = _fsum(self.rows[row, cuts[j]:ends[j]])
+                total = _fsum(self.rows[row, cuts[j]:(*cuts, self.n)[j + 1]])
             sums.append(total)
         return sums
 

@@ -319,7 +319,12 @@ def clearing_price(pop, tol=None):
     total, weighted = extraction.sums((0,))
     mb = _mean(total, weighted, lowest, highest)
     # the residual's rounding grows with the capital, so the default does
-    tol = 1e-9 * total if tol is None else check_positive(tol, "tol") / unit
+    if tol is None:
+        limit = 1e-9 * total
+        tol = limit * unit
+    else:
+        tol = check_positive(tol, "tol")
+        limit = tol / unit
     if lowest == highest:
         q = beliefs.item(0)  # the first as given: beliefs 0.0 and -0.0 are equal
         if not 0.0 < q < 1.0:
@@ -356,10 +361,11 @@ def clearing_price(pop, tol=None):
     residual = capitals * fractions
     residual = (_fsum(residual) if len(residual) >= _RESIDUAL_MIN_EXTRACT
                 else math.fsum(memoryview(residual)))
-    if abs(residual) > tol:
+    # in dollars where tol / unit rounds, where the residual is exact or far below tol
+    if abs(residual) > limit if limit * unit == tol else abs(residual) * unit > tol:
         raise ValueError(
             f"clearing residual {residual * unit:.3g} exceeds tolerance "
-            f"{tol * unit:.3g} at price {price:.12g}"
+            f"{tol:.3g} at price {price:.12g}"
         )
     return ClearingResult(price, tuple((pop.capitals * fractions).tolist()), mb,
                           gap=mb - price, residual=residual * unit)

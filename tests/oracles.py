@@ -317,8 +317,9 @@ def multi_pass_clearing_price(pop, tol=None):
         return min(max(best, lower), upper)
 
     (capitals, unit), beliefs = in_units(pop.capitals), pop.beliefs
-    tol = (1e-9 * fsum(memoryview(capitals)) if tol is None
-           else check_positive(tol, "tol") / unit)
+    # the tolerance in dollars, an exact rational
+    tol = (Fraction(1e-9 * fsum(memoryview(capitals))) * Fraction(unit) if tol is None
+           else Fraction(check_positive(tol, "tol")))
     if beliefs.min() == beliefs.max():
         q = float(beliefs[0])
         if not 0.0 < q < 1.0:
@@ -342,10 +343,10 @@ def multi_pass_clearing_price(pop, tol=None):
         price = clearing_root(capitals, beliefs)
     exposures = capitals * kelly(beliefs, price)
     residual = fsum(memoryview(exposures))
-    if abs(residual) > tol:
+    if abs(Fraction(residual)) * Fraction(unit) > tol:
         raise ValueError(
             f"clearing residual {residual * unit:.3g} exceeds tolerance "
-            f"{tol * unit:.3g} at price {price:.12g}")
+            f"{float(tol):.3g} at price {price:.12g}")
     mb = mean_belief()
     return ClearingResult(price, tuple((exposures * unit).tolist()), mb,
                           gap=mb - price, residual=residual * unit)

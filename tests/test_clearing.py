@@ -347,6 +347,33 @@ class TestClearingPrice:
         residual = re.search(r"residual (\S+)", str(info.value)).group(1)
         assert abs(float(residual)) > 1e-12
 
+    def test_refusal_names_the_given_tolerance_at_large_capitals(self):
+        # tol / unit underflows to 0 at $1e-250 and keeps few bits at $1e-22
+        market = pop((1e300, 0.3), (2e300, 0.7), (3e300, 0.9))
+        for tol in ("1e-250", "1e-22", "1e-09"):
+            with pytest.raises(ValueError, match=(
+                    rf"^clearing residual -1\.04e\+285 exceeds tolerance {tol} "
+                    r"at price 0\.85$")):
+                clearing_price(market, float(tol))
+
+    def test_refuses_a_residual_above_a_tolerance_that_rounds_in_the_unit(self):
+        # a residual of m 2^-1074 in the unit of 2^900: $(m - 3/8) 2^-174
+        # is below it, and in the unit rounds to m 2^-1074, which it equals
+        unit = 2.0 ** 900
+        market = pop((unit, 0.5), (unit * 7e-310, 0.3), (unit * 14e-310, 0.9))
+        residual = clearing_price(market).residual
+        m = abs(residual) / unit / 5e-324
+        assert m == int(m) > 1
+        tol = (m - 0.375) * 2.0 ** -174
+        assert tol < abs(residual) and tol / unit * unit == abs(residual)
+        with pytest.raises(ValueError, match=f"exceeds tolerance {tol:.3g} at"):
+            clearing_price(market, tol)
+        assert clearing_price(market, abs(residual)).residual == residual
+        # as the oracle decides, in exact rationals
+        assert _outcome(clearing_price, market, tol) == \
+            _outcome(multi_pass_clearing_price, market, tol)
+        assert multi_pass_clearing_price(market, abs(residual)).residual == residual
+
     def test_exposure_far_below_the_largest_capital(self):
         # in the unit of the largest capital $1e-300 underflows to 0; the
         # exposure is capital times fraction in dollars, 8.57e-301

@@ -42,22 +42,44 @@ def assert_fsum(values):
 
 
 def array(seed, n, kind):
-    """n seeded values of one shape, scaled below 2 in size: heavy-tailed
-    capital, capital times a signed weight, values with their negatives (sum
-    exactly 0), or signs and exponents drawn over the float range below 2."""
+    """n seeded values of one of ``KINDS``, below 2 in size: unit capitals
+    (heavy-tailed, the largest in [1, 2)); capitals times signed weights, as
+    they are or scaled to put the largest size in [1, 2); values with their
+    negatives, summing exactly to 0 (scaled, the odd value left out, or
+    padded with a 0) or to a subnormal; signs and exponents drawn over the
+    float range below 2; all -0.0; +-(2 - ulp) with a few small values;
+    values in [1, 2), or in (-2, -1]."""
     rng = np.random.default_rng(seed)
-    pareto = rng.pareto(1.5, n) + 1.0
-    if kind == "pareto":
-        return below_two(pareto)
-    if kind == "mixed":
-        return below_two(pareto * rng.uniform(-1.0, 1.0, n))
+    capitals = below_two(rng.pareto(1.5, n) + 1.0)
+    if kind == "capitals":
+        return capitals
+    if kind in ("mixed", "scaled mixed"):
+        values = capitals * rng.uniform(-1.0, 1.0, n)
+        return values if kind == "mixed" else below_two(values)
+    if kind == "wide":
+        return below_two(np.ldexp(rng.uniform(-1.0, 1.0, n), rng.integers(-1074, 2, n)))
+    if kind == "negative zeros":
+        return np.full(n, -0.0)
+    if kind == "top":
+        values = rng.choice([-BELOW_TWO, BELOW_TWO], n)
+        values[: n // 3] = rng.uniform(-1e-20, 1e-20, n // 3)
+        return values
+    if kind == "near two":  # one sign: the high parts' sums come near sigma
+        return rng.uniform(1.0, 2.0, n)
+    if kind == "near minus two":  # high parts below sigma, on its finer grid:
+        return -rng.uniform(1.0, 2.0, n)  # a bound of 1 would round their sums
+    half = capitals[: n // 2] * rng.choice([-1.0, 1.0], n // 2)
     if kind == "cancelling":
-        half = pareto[: n // 2] * rng.choice([-1.0, 1.0], n // 2)
         return below_two(rng.permutation(np.concatenate([half, -half])))
-    return below_two(np.ldexp(rng.uniform(-1.0, 1.0, n), rng.integers(-1074, 2, n)))
+    values = np.concatenate([half, -half, np.zeros(n % 2)])
+    if kind == "to a subnormal":
+        values[-1] = rng.choice([-5e-324, 3e-320, -2.5e-310])
+    return rng.permutation(values)
 
 
-KINDS = ("pareto", "mixed", "cancelling", "wide")
+KINDS = ("capitals", "mixed", "scaled mixed", "cancelling", "to zero",
+         "to a subnormal", "wide", "negative zeros", "top", "near two",
+         "near minus two")
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -88,7 +110,7 @@ def test_second_level_sum_matches_fsum(n, monkeypatch):
     assert max(lengths) >= 4 and None not in lengths
 
 
-@pytest.mark.parametrize("kind", ["pareto", "mixed", "cancelling"])
+@pytest.mark.parametrize("kind", ["capitals", "scaled mixed", "cancelling"])
 def test_allocates_no_array_as_long_as_the_values(kind):
     # above _BLOCK values the extraction runs through two buffers of a block
     values = array(1, 10 ** 5, kind)
@@ -114,13 +136,19 @@ def test_matches_fsum_on_drawn_arrays(seed, n, kind, scale):
     assert_fsum(np.ldexp(array(seed, n, kind), scale))
 
 
-def padded(values, n=2 * _FSUM_MIN_EXTRACT):
-    """``values`` hidden among heavy-tailed values below 2 and their
-    negatives, in seeded order: the same exact sum, at a size that
-    extraction takes."""
-    rng = np.random.default_rng(len(values))
-    others = below_two(rng.pareto(1.5, (n - len(values)) // 2))
-    return rng.permutation(np.concatenate([others, -others, values]))
+def padded(tail, n, seed=None):
+    """``tail`` among n values below 2 and their negatives, in seeded order:
+    the same exact sum.  With no seed they are heavy-tailed; with one, half
+    of them lie far below 2, so that numpy's sum of the remainders rounds
+    and only the error bound keeps a tie from being certified."""
+    if seed is None:
+        rng = np.random.default_rng(len(tail))
+        others = below_two(rng.pareto(1.5, (n - len(tail)) // 2))
+    else:
+        rng = np.random.default_rng([seed, len(tail)])
+        half = (n - len(tail)) // 2
+        others = np.ldexp(rng.uniform(-1.0, 1.0, half), rng.integers(-90, 2, half))
+    return rng.permutation(np.concatenate([others, -others, tail]))
 
 
 @pytest.mark.parametrize("tail", [
@@ -135,7 +163,11 @@ def padded(values, n=2 * _FSUM_MIN_EXTRACT):
     [],                                      # exactly 0 over nonzero values
 ])
 def test_matches_fsum_at_ties_and_subnormals(tail):
-    assert_fsum(padded(np.array(tail, dtype=float)))
+    tail = np.array(tail, dtype=float)
+    assert_fsum(padded(tail, 2 * _FSUM_MIN_EXTRACT))
+    for n in (_FSUM_MIN_EXTRACT, 1000, _BLOCK + 1):
+        for seed in range(4):
+            assert_fsum(padded(tail, n, seed))
 
 
 @pytest.mark.parametrize("values", [
@@ -164,25 +196,32 @@ def test_matches_fsum_with_the_bound_in_any_block(special, at):
     # every level's sigma comes from the bound of 2, not from the first
     # block: a value at the bound, or the least subnormal, in a later block
     # is split as in the first
-    values = array(5, 2 * _BLOCK + 1, "mixed")
+    values = array(5, 2 * _BLOCK + 1, "scaled mixed")
     values[at] = special
     assert_fsum(values)
 
 
 def test_extraction_certifies_without_math_fsum_over_the_values(monkeypatch):
-    # only the few extracted parts go to math.fsum, never the whole array
+    # the bound of 2 sets the first level, and only the few extracted parts
+    # go to math.fsum, as a list, never a run of the values: in a sum from
+    # the crossover on, and in an extraction at any width
     fsum, lengths = math.fsum, []
 
     def counted(values):
-        values = list(values)
-        lengths.append(len(values))
+        lengths.append(len(values) if isinstance(values, list) else None)
         return fsum(values)
 
     monkeypatch.setattr(math, "fsum", counted)
-    for kind in ("pareto", "mixed"):
-        values = array(3, 10 ** 4, kind)
-        assert _fsum(values) == fsum(values)
-    assert lengths and max(lengths) <= _exact._LEVELS + 2
+    for kind in ("capitals", "mixed", "scaled mixed", "top"):
+        for n in (_FSUM_MIN_EXTRACT, 1000, 10 ** 4, _BLOCK + 1):
+            for seed in (3, 4):
+                values = array(seed, n, kind)
+                assert _fsum(values) == fsum(values), (kind, n, seed)
+    for n in (2, 100, _FSUM_MIN_EXTRACT - 1):
+        rows = np.stack([array(n, n, "capitals"), array(n + 1, n, "mixed")])
+        want = [fsum(row[a:b]) for row in rows for a, b in ((0, n // 2), (n // 2, n))]
+        assert _Extraction(rows).sums((0, n // 2)) == want, n
+    assert lengths and None not in lengths and max(lengths) <= _exact._LEVELS + 2
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -195,112 +234,23 @@ def test_pairwise_sum_adds_in_numpys_order(seed):
         assert _pairwise_sum(values.tolist()).hex() == np.add.reduce(values).hex(), n
 
 
-# The shapes clearing sums, near the bound of 2 and below it: the first
-# level's sigma comes from that bound alone.
-BOUNDED_SIZES = (_FSUM_MIN_EXTRACT - 1, _FSUM_MIN_EXTRACT, _FSUM_MIN_EXTRACT + 1,
-                 1000, *BLOCK_EDGES)
-
-
-def bounded(seed, n, kind):
-    """n seeded values below 2 in size: unit capitals (the largest in
-    [1, 2)), mixed signs, values with their negatives (sum exactly 0), the
-    same cancelling to a subnormal, all -0.0, +-(2 - ulp) with a few small
-    values, values in [1, 2), or in (-2, -1]."""
-    rng = np.random.default_rng(seed)
-    pareto = rng.pareto(1.5, n) + 1.0
-    capitals = np.ldexp(pareto, 1 - math.frexp(pareto.max())[1])
-    if kind == "capitals":
-        return capitals
-    if kind == "mixed":
-        return capitals * rng.uniform(-1.0, 1.0, n)
-    if kind == "negative zeros":
-        return np.full(n, -0.0)
-    if kind == "top":
-        values = rng.choice([-BELOW_TWO, BELOW_TWO], n)
-        values[: n // 3] = rng.uniform(-1e-20, 1e-20, n // 3)
-        return values
-    if kind == "near two":  # one sign: the high parts' sums come near sigma
-        return rng.uniform(1.0, 2.0, n)
-    if kind == "near minus two":  # high parts below sigma, on its finer grid:
-        return -rng.uniform(1.0, 2.0, n)  # a bound of 1 would round their sums
-    half = capitals[: n // 2] * rng.choice([-1.0, 1.0], n // 2)
-    values = np.concatenate([half, -half, np.zeros(n % 2)])
-    if kind == "to a subnormal":
-        values[-1] = rng.choice([-5e-324, 3e-320, -2.5e-310])
-    return rng.permutation(values)
-
-
-BOUNDED_KINDS = ("capitals", "mixed", "to zero", "to a subnormal",
-                 "negative zeros", "top", "near two", "near minus two")
-
-
-@pytest.mark.parametrize("kind", BOUNDED_KINDS)
-@pytest.mark.parametrize("n", BOUNDED_SIZES)
-def test_bounded_sum_matches_fsum(n, kind):
-    for seed in range(3):
-        values = bounded(seed, n, kind)
-        for view in (values, values[::-1], values[1:-1], values[::2], values[::-3]):
-            got = outcome(_fsum, view)
-            assert got == outcome(math.fsum, view), (kind, len(view))
-
-
-@pytest.mark.parametrize("tail", [
-    [1.0, 2.0 ** -53],                       # a tie, rounded to even: 1
-    [1.0, 3 * 2.0 ** -53],                   # a tie, rounded to even: 1 + 2^-51
-    [1.0, 2.0 ** -53, 2.0 ** -300],          # just past a tie: 1 + 2^-52
-    [1.0, 2.0 ** -53, -(2.0 ** -300)],       # just short of a tie: 1
-    [1.0, 2.0 ** -54, 2.0 ** -54, 2.0 ** -1074],
-    [2.0 ** -1022, 2.0 ** -1074, -(2.0 ** -1070)],  # subnormal sums
-    [1e-310, -3e-320, 2.5e-308],
-])
-@pytest.mark.parametrize("n", [_FSUM_MIN_EXTRACT, 1000, _BLOCK + 1])
-def test_bounded_sum_matches_fsum_at_ties(tail, n):
-    # the tail among values below 2 and their negatives, in seeded order;
-    # half of those lie far below 2, so that numpy's sum of the remainders
-    # rounds and only the error bound keeps a tie from being certified
-    for seed in range(4):
-        rng = np.random.default_rng([seed, len(tail)])
-        half = (n - len(tail)) // 2
-        others = np.ldexp(rng.uniform(-1.0, 1.0, half), rng.integers(-90, 2, half))
-        values = rng.permutation(np.concatenate([others, -others, tail]))
-        for view in (values, values[::-1]):
-            assert _fsum(view).hex() == math.fsum(view).hex(), (seed, tail)
-
-
-@pytest.mark.parametrize("kind", ["capitals", "mixed", "top"])
-def test_bounded_sum_certifies_without_math_fsum_over_the_values(kind, monkeypatch):
-    # the bound of 2 sets the first level; only the parts go to math.fsum
-    fsum, lengths = math.fsum, []
-
-    def counted(values):
-        values = list(values)
-        lengths.append(len(values))
-        return fsum(values)
-
-    monkeypatch.setattr(math, "fsum", counted)
-    for n in (_FSUM_MIN_EXTRACT, 1000, _BLOCK + 1):
-        values = bounded(4, n, kind)
-        assert _fsum(values) == fsum(values)
-    assert lengths and max(lengths) <= _exact._LEVELS + 2
-
-
-@pytest.mark.parametrize("kind", BOUNDED_KINDS)
-@pytest.mark.parametrize("n", [2, _FSUM_MIN_EXTRACT - 1, _FSUM_MIN_EXTRACT, 1000])
-def test_extraction_sums_match_fsum(n, kind):
+@pytest.mark.parametrize("kind", [k for k in KINDS if k != "cancelling"])
+def test_extraction_sums_match_fsum(kind):
     # the sums of runs of columns that one extraction of two rows gives,
-    # certified or taken again, and below the crossover math.fsum's own
-    rows = np.stack([bounded(n, n, "capitals"), bounded(n + 1, n, kind)])
-    extraction = _Extraction(rows)
-    for cuts in [(0,)] + [(0, m) for m in sorted({1, n // 3, n - 1}) if 0 < m < n]:
-        ends = (*cuts[1:], n)
-        want = [math.fsum(row[a:b]).hex() for row in rows for a, b in zip(cuts, ends)]
-        assert [x.hex() for x in extraction.sums(cuts)] == want, (kind, cuts)
+    # certified or taken again, at every width up to 300 and at 1,000
+    for n in (*range(1, 301), 1000):
+        rows = np.stack([array(n, n, "capitals"), array(n + 1, n, kind)])
+        extraction = _Extraction(rows)
+        for cuts in [(0,)] + [(0, m) for m in sorted({1, n // 3, n - 1}) if 0 < m < n]:
+            ends = (*cuts[1:], n)
+            want = [math.fsum(row[a:b]).hex() for row in rows for a, b in zip(cuts, ends)]
+            assert [x.hex() for x in extraction.sums(cuts)] == want, (n, cuts)
 
 
 def test_cached_sigmas_are_read_only():
     # every sum at one exponent shares its sigma: a write into it would move
     # every later sum, so it is refused, and the sums are still math.fsum's
-    rows = np.stack([bounded(6, 1000, "mixed"), bounded(7, 1000, "capitals")])
+    rows = np.stack([array(6, 1000, "mixed"), array(7, 1000, "capitals")])
     k = _exact._exponent(_exact._TOP, 1000)  # the first level's of both sums below
     sigma = _exact._sigma(k)
     assert _exact._sigma(k) is sigma
