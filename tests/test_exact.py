@@ -162,10 +162,13 @@ def padded(tail, n, seed=None):
     [1e-310, -3e-320, 2.5e-308],
     [],                                      # exactly 0 over nonzero values
 ])
-def test_matches_fsum_at_ties_and_subnormals(tail):
+@pytest.mark.parametrize("n", [None, _FSUM_MIN_EXTRACT, 1000, _BLOCK + 1])
+def test_matches_fsum_at_ties_and_subnormals(tail, n):
+    # n None: 448 heavy-tailed values; else n values, half far below 2
     tail = np.array(tail, dtype=float)
-    assert_fsum(padded(tail, 2 * _FSUM_MIN_EXTRACT))
-    for n in (_FSUM_MIN_EXTRACT, 1000, _BLOCK + 1):
+    if n is None:
+        assert_fsum(padded(tail, 2 * _FSUM_MIN_EXTRACT))
+    else:
         for seed in range(4):
             assert_fsum(padded(tail, n, seed))
 
@@ -234,11 +237,14 @@ def test_pairwise_sum_adds_in_numpys_order(seed):
         assert _pairwise_sum(values.tolist()).hex() == np.add.reduce(values).hex(), n
 
 
+@pytest.mark.parametrize("widths", [range(1, _FSUM_MIN_EXTRACT),
+                                    range(_FSUM_MIN_EXTRACT, 301), (1000,)],
+                         ids=["below the crossover", "to 300", "1000"])
 @pytest.mark.parametrize("kind", [k for k in KINDS if k != "cancelling"])
-def test_extraction_sums_match_fsum(kind):
+def test_extraction_sums_match_fsum(kind, widths):
     # the sums of runs of columns that one extraction of two rows gives,
     # certified or taken again, at every width up to 300 and at 1,000
-    for n in (*range(1, 301), 1000):
+    for n in widths:
         rows = np.stack([array(n, n, "capitals"), array(n + 1, n, kind)])
         extraction = _Extraction(rows)
         for cuts in [(0,)] + [(0, m) for m in sorted({1, n // 3, n - 1}) if 0 < m < n]:
